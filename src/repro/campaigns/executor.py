@@ -424,40 +424,45 @@ def evaluate_trace_checks(
 ) -> list[CheckOutcome]:
     """Apply every trace-check directive to its journaled points.
 
-    Each directive runs once per point of the journaling sweeps it
-    scopes, against the observation journal persisted in the store.  A
-    point without a readable journal is itself a failure — the journal
-    directive promised the stream, so silence must not pass.  Outcome
-    kinds are prefixed ``trace:`` to keep the two check families apart
-    in reports.
+    Points are visited in campaign order, and each point of a journaling
+    sweep that some directive scopes has its observation journal read
+    from the store and decoded exactly once; every in-scope directive
+    then runs against that one decoded journal, and only one journal is
+    held in memory at a time.  A point without a readable journal is a
+    failure under every directive that scopes it — the journal directive
+    promised the stream, so silence must not pass.  Each directive's
+    failures are listed in point order, and outcome kinds are prefixed
+    ``trace:`` to keep the two check families apart in reports.
     """
+    checks = campaign.trace_checks
     journal_sweeps = {d.name for d in campaign.sweeps if d.journal}
-    points = [
-        point
-        for point in expand_points(campaign)
-        if point.sweep in journal_sweeps
-    ]
-    outcomes = []
-    for check in campaign.trace_checks:
-        failures: list[str] = []
-        for point in points:
-            if not check.matches(point.sweep):
-                continue
-            label = f"{point.sweep}[{point.index}] {point.spec.name!r}"
-            journal = store.get_journal(point.spec)
+    failures: list[list[str]] = [[] for _ in checks]
+    for point in expand_points(campaign):
+        if point.sweep not in journal_sweeps:
+            continue
+        scoped = [i for i, check in enumerate(checks) if check.matches(point.sweep)]
+        if not scoped:
+            continue
+        label = f"{point.sweep}[{point.index}] {point.spec.name!r}"
+        journal = store.get_journal(point.spec)
+        for i in scoped:
             if journal is None:
-                failures.append(f"{label}: no readable journal in store")
+                failures[i].append(f"{label}: no readable journal in store")
                 continue
-            failures.extend(
+            failures[i].extend(
                 f"{label}: {failure}"
                 for failure in run_trace_check(
-                    check.kind, point.spec, journal.observations, **check.params
+                    checks[i].kind,
+                    point.spec,
+                    journal.observations,
+                    **checks[i].params,
                 )
             )
-        outcomes.append(
-            CheckOutcome(f"trace:{check.kind}", check.sweeps, tuple(failures))
-        )
-    return outcomes
+        del journal  # free this point's stream before decoding the next
+    return [
+        CheckOutcome(f"trace:{check.kind}", check.sweeps, tuple(found))
+        for check, found in zip(checks, failures)
+    ]
 
 
 @dataclass

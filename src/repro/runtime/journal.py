@@ -53,6 +53,10 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _GZIP_MTIME = 0
 _GZIP_LEVEL = 9
 
+# One shared compact encoder: ``json.dumps(..., separators=...)`` would
+# build a fresh encoder for every row.
+_encode_row = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _encode_float(value: float) -> float | str:
     """Strict-JSON float encoding (mirrors the result-store convention)."""
@@ -61,12 +65,6 @@ def _encode_float(value: float) -> float | str:
     if math.isnan(value):
         return "nan"
     return "inf" if value > 0 else "-inf"
-
-
-def _decode_float(value: object) -> float:
-    if isinstance(value, str):
-        return float(value)
-    return float(value)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -81,39 +79,10 @@ class Journal:
         return len(self.observations)
 
 
-def _observation_row(obs: Observation) -> list:
-    return [
-        _encode_float(obs.time),
-        obs.kind,
-        obs.node,
-        obs.key,
-        obs.ref,
-        _encode_float(obs.value),
-    ]
-
-
-def _row_observation(row: object, where: str) -> Observation:
-    if not isinstance(row, list) or len(row) != 6:
-        raise ExperimentError(
-            f"{where}: journal line is not a 6-element observation array"
-        )
-    time, kind, node, key, ref, value = row
-    return Observation(
-        time=_decode_float(time),
-        kind=str(kind),
-        node=None if node is None else int(node),
-        key=str(key),
-        ref=int(ref),
-        value=_decode_float(value),
-    )
-
-
-def journal_lines(
-    observations: Iterable[Observation],
-    meta: dict | None = None,
-    include_profile: bool = False,
-) -> Iterator[str]:
-    """The journal's JSON lines (header first), in canonical order.
+def _canonical(
+    observations: Iterable[Observation], include_profile: bool
+) -> list[Observation]:
+    """The observations a journal keeps, in canonical stream order.
 
     ``profile`` observations are filtered out unless ``include_profile``
     — their values (wall time, heap churn) vary across machines and
@@ -125,6 +94,10 @@ def journal_lines(
         if include_profile or obs.kind != "profile"
     ]
     kept.sort(key=Observation.sort_key)
+    return kept
+
+
+def _lines(kept: list[Observation], meta: dict | None) -> Iterator[str]:
     header = {
         "format": JOURNAL_FORMAT,
         "kind": JOURNAL_KIND,
@@ -133,7 +106,43 @@ def journal_lines(
     }
     yield json.dumps(header, sort_keys=True, separators=(",", ":"))
     for obs in kept:
-        yield json.dumps(_observation_row(obs), separators=(",", ":"))
+        yield _encode_row(
+            [
+                _encode_float(obs.time),
+                obs.kind,
+                obs.node,
+                obs.key,
+                obs.ref,
+                _encode_float(obs.value),
+            ]
+        )
+
+
+def _frame(lines: Iterable[str]) -> bytes:
+    """Gzip-frame the lines with the pinned parameters, in one write.
+
+    ``GzipFile`` rather than ``gzip.compress``: the latter writes a
+    different OS byte into the gzip header, which would change every
+    journal's bytes.
+    """
+    buffer = io.BytesIO()
+    with gzip.GzipFile(
+        fileobj=buffer, mode="wb", mtime=_GZIP_MTIME, compresslevel=_GZIP_LEVEL
+    ) as frame:
+        frame.write(("\n".join(lines) + "\n").encode("utf-8"))
+    return buffer.getvalue()
+
+
+def journal_lines(
+    observations: Iterable[Observation],
+    meta: dict | None = None,
+    include_profile: bool = False,
+) -> Iterator[str]:
+    """The journal's JSON lines (header first), in canonical order.
+
+    ``profile`` observations are excluded unless ``include_profile``.
+    """
+    return _lines(_canonical(observations, include_profile), meta)
 
 
 def dump_journal(
@@ -142,14 +151,7 @@ def dump_journal(
     include_profile: bool = False,
 ) -> bytes:
     """Serialize a stream to deterministic gzip-framed journal bytes."""
-    buffer = io.BytesIO()
-    with gzip.GzipFile(
-        fileobj=buffer, mode="wb", mtime=_GZIP_MTIME, compresslevel=_GZIP_LEVEL
-    ) as frame:
-        for line in journal_lines(observations, meta, include_profile):
-            frame.write(line.encode("utf-8"))
-            frame.write(b"\n")
-    return buffer.getvalue()
+    return _frame(journal_lines(observations, meta, include_profile))
 
 
 def write_journal(
@@ -159,13 +161,9 @@ def write_journal(
     include_profile: bool = False,
 ) -> int:
     """Write a journal file; returns the observation count written."""
-    data = dump_journal(observations, meta, include_profile)
-    Path(path).write_bytes(data)
-    # The header's count is authoritative and cheap to recover here.
-    header = json.loads(
-        gzip.decompress(data).split(b"\n", 1)[0].decode("utf-8")
-    )
-    return int(header["count"])
+    kept = _canonical(observations, include_profile)
+    Path(path).write_bytes(_frame(_lines(kept, meta)))
+    return len(kept)
 
 
 def _journal_text(path: str | Path) -> str:
@@ -181,36 +179,90 @@ def _journal_text(path: str | Path) -> str:
         raise ExperimentError(f"{path}: journal is not UTF-8: {exc}") from exc
 
 
+def _header_int(header: dict, field: str, where: str) -> int:
+    try:
+        return int(header.get(field, -1))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ExperimentError(
+            f"{where}:1: journal header {field} is not an integer: {exc}"
+        ) from exc
+
+
+def _parse_rows(lines: list[str], where: str) -> list:
+    """JSON-decode the observation lines (``lines[1:]``) in one parse.
+
+    When the one-shot parse fails — or yields a different row count, so
+    some line did not hold exactly one value — the lines are re-parsed
+    one at a time, which raises naming the first bad ``where:lineno``.
+    """
+    body = lines[1:]
+    try:
+        rows = json.loads("[" + ",".join(body) + "]")
+    except (ValueError, RecursionError):
+        rows = None
+    if rows is not None and len(rows) == len(body):
+        return rows
+    rows = []
+    for lineno, line in enumerate(body, start=2):
+        try:
+            rows.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            raise ExperimentError(
+                f"{where}:{lineno}: bad journal line: {exc}"
+            ) from exc
+    return rows
+
+
 def loads_journal(text: str, where: str = "<journal>") -> Journal:
-    """Parse journal text (header line + observation lines)."""
+    """Parse journal text (header line + observation lines).
+
+    Every malformed input raises :class:`~repro.errors.ExperimentError`
+    naming ``where`` (and the line number, for a bad line).
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ExperimentError(f"{where}: empty journal")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ExperimentError(f"{where}:1: bad journal header: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != JOURNAL_KIND:
         raise ExperimentError(
             f"{where}: not an observation journal (missing "
             f"kind={JOURNAL_KIND!r} header)"
         )
-    fmt = int(header.get("format", -1))
+    fmt = _header_int(header, "format", where)
     if fmt != JOURNAL_FORMAT:
         raise ExperimentError(
             f"{where}: journal format {fmt} unsupported "
             f"(this build reads format {JOURNAL_FORMAT})"
         )
     observations: list[Observation] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
+    append = observations.append
+    for lineno, row in enumerate(_parse_rows(lines, where), start=2):
+        if not isinstance(row, list) or len(row) != 6:
             raise ExperimentError(
-                f"{where}:{lineno}: bad journal line: {exc}"
+                f"{where}:{lineno}: journal line is not a 6-element "
+                f"observation array"
+            )
+        time, kind, node, key, ref, value = row
+        try:
+            append(
+                Observation(
+                    float(time),
+                    str(kind),
+                    None if node is None else int(node),
+                    str(key),
+                    int(ref),
+                    float(value),
+                )
+            )
+        except (TypeError, ValueError, OverflowError, ExperimentError) as exc:
+            # ExperimentError: Observation rejects an unknown kind.
+            raise ExperimentError(
+                f"{where}:{lineno}: bad observation row: {exc}"
             ) from exc
-        observations.append(_row_observation(row, f"{where}:{lineno}"))
-    count = int(header.get("count", -1))
+    count = _header_int(header, "count", where)
     if count != len(observations):
         raise ExperimentError(
             f"{where}: header declares {count} observations, "

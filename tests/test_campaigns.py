@@ -15,6 +15,7 @@ import pytest
 
 from repro.campaigns import (
     CampaignSpec,
+    CheckOutcome,
     CheckSpec,
     FigureSpec,
     ResultStore,
@@ -23,6 +24,7 @@ from repro.campaigns import (
     build_campaign,
     collect_results,
     evaluate_checks,
+    evaluate_trace_checks,
     expand_points,
     list_campaigns,
     parse_shard,
@@ -620,11 +622,8 @@ def test_summary_hit_without_journal_reruns_the_point(tmp_path):
     assert store.has_journal(victim)  # the re-run healed the store
 
 
-def test_violated_journal_fails_verification(tmp_path):
-    campaign = journaled_campaign()
-    store = ResultStore(str(tmp_path / "store"))
-    run_campaign(campaign, store)
-    spec = expand_points(campaign)[0].spec
+def write_violated_journal(store: ResultStore, spec: ExperimentSpec) -> None:
+    """Replace ``spec``'s stored journal with a hand-written bad stream."""
     key = spec_key(spec)
     rows = [
         [0.0, "bcast", 0, "m0", 0, 1.0],
@@ -641,6 +640,13 @@ def test_violated_journal_fails_verification(tmp_path):
     lines = [json.dumps(header)] + [json.dumps(r) for r in rows]
     with open(store.journal_path_for(key), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def test_violated_journal_fails_verification(tmp_path):
+    campaign = journaled_campaign()
+    store = ResultStore(str(tmp_path / "store"))
+    run_campaign(campaign, store)
+    write_violated_journal(store, expand_points(campaign)[0].spec)
     report = verify_campaign(campaign, store)
     assert not report.ok
     failed = {o.kind for o in report.checks if not o.ok}
@@ -648,9 +654,57 @@ def test_violated_journal_fails_verification(tmp_path):
     assert "trace:delivery_order" in failed
 
 
-def test_missing_journal_is_a_trace_check_failure(tmp_path):
-    from repro.campaigns import evaluate_trace_checks
+def test_trace_checks_decode_each_journal_once(tmp_path, monkeypatch):
+    campaign = journaled_campaign(seeds=2)
+    store = ResultStore(str(tmp_path / "store"))
+    run_campaign(campaign, store)
+    points = expand_points(campaign)
+    write_violated_journal(store, points[1].spec)
+    with open(store.journal_path_for(spec_key(points[2].spec)), "r+b") as fh:
+        fh.truncate(12)
+    fetched = []
+    get_journal = ResultStore.get_journal
 
+    def counting_get_journal(self, spec):
+        fetched.append(spec_key(spec))
+        return get_journal(self, spec)
+
+    monkeypatch.setattr(ResultStore, "get_journal", counting_get_journal)
+    fresh = ResultStore(store.root)
+    outcomes = evaluate_trace_checks(campaign, fresh)
+    assert fetched == [spec_key(point.spec) for point in points]
+    assert fresh.stats.corrupt == 1
+    # The outcomes of the former check-major loop, check by check.
+    violated = "lines[1] 'tiny[topology.n=5#1]'"
+    unreadable = "lines[2] 'tiny[topology.n=7#0]': no readable journal in store"
+    assert outcomes == [
+        CheckOutcome(
+            "trace:ack_latency",
+            ("lines",),
+            (
+                f"{violated}: instance 0 ('m0'): ack latency 100 exceeds fack 20",
+                unreadable,
+            ),
+        ),
+        CheckOutcome("trace:abort_accounting", ("lines",), (unreadable,)),
+        CheckOutcome(
+            "trace:delivery_order",
+            ("lines",),
+            (f"{violated}: node 1 delivered message 'm0' twice", unreadable),
+        ),
+        CheckOutcome(
+            "trace:mac_axioms",
+            ("lines",),
+            (
+                f"{violated}: inst 0: ack without rcv at G-neighbor 1",
+                f"{violated}: inst 0: ack latency 100.0 exceeds Fack=20.0",
+                unreadable,
+            ),
+        ),
+    ]
+
+
+def test_missing_journal_is_a_trace_check_failure(tmp_path):
     campaign = journaled_campaign()
     store = ResultStore(str(tmp_path / "store"))
     outcome = run_campaign(campaign, store)

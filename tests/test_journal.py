@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,97 @@ def test_malformed_journals_are_rejected(tmp_path):
     truncated.write_bytes(dump_journal(_stream())[:20])
     with pytest.raises(ExperimentError, match="corrupt journal frame"):
         read_journal(truncated)
+
+
+def _one_row_journal(row: str, **header_fields) -> str:
+    header = {"format": 1, "kind": JOURNAL_KIND, "count": 1, "meta": {}}
+    header.update(header_fields)
+    return json.dumps(header) + "\n" + row + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        (_one_row_journal('["abc","bcast",0,"m",0,1.0]'), 2),
+        (_one_row_journal('[0.0,"bcast",{},"m",0,1.0]'), 2),
+        (_one_row_journal('[0.0,"bcast",0,"m","x",1.0]'), 2),
+        (_one_row_journal('[0.0,"bcast",0,"m",0,null]'), 2),
+        (_one_row_journal('[0.0,"bcast",0,"m",Infinity,1.0]'), 2),
+        (_one_row_journal('[0.0,"nope",0,"m",0,1.0]'), 2),
+        (_one_row_journal('[0.0,"bcast",0,"m",0,1.0]', format="x"), 1),
+        (_one_row_journal('[0.0,"bcast",0,"m",0,1.0]', count=[1]), 1),
+        (_one_row_journal('[0.0,"bcast",0,"m",0,1.0]', count=float("inf")), 1),
+        (_one_row_journal('[0.0,"bcast",0,"m",0,1.0] [1]'), 2),
+        (_one_row_journal("[" * 100_000), 2),
+    ],
+    ids=[
+        "str-time",
+        "dict-node",
+        "str-ref",
+        "null-value",
+        "infinite-ref",
+        "unknown-kind",
+        "str-format",
+        "list-count",
+        "infinite-count",
+        "trailing-data",
+        "deep-nesting",
+    ],
+)
+def test_malformed_rows_raise_the_typed_error(text, lineno):
+    with pytest.raises(ExperimentError, match=f"^bad.jsonl:{lineno}: "):
+        loads_journal(text, where="bad.jsonl")
+
+
+def test_bad_row_is_located_after_good_rows():
+    good = json.dumps([0.0, "bcast", 0, "m0", 0, 1.0])
+    text = _one_row_journal(good, count=3).rstrip("\n")
+    with pytest.raises(ExperimentError, match="^j:4: bad journal line"):
+        loads_journal(text + "\n" + good + "\n[0.0,", where="j")
+    with pytest.raises(ExperimentError, match="^j:3: .*unknown observation kind"):
+        loads_journal(text + '\n[0.0,"nope",0,"m",0,1.0]\n' + good, where="j")
+
+
+def test_dump_journal_bytes_are_pinned():
+    """The exact bytes of a fixed stream, as the format has always written them.
+
+    The stream covers every encoding edge: non-finite times and values,
+    ``-0.0``, an int time and value, node-less markers, profile records,
+    non-ASCII text in keys and meta, and unsorted meta keys.  Any change
+    to these digests breaks byte identity with every journal on disk.
+    """
+    inf, nan = float("inf"), float("nan")
+    stream = (
+        Observation(time=4.0, kind="profile", key="wall_s", ref=-1, value=2.5),
+        Observation(time=4.0, kind="profile", key="heap_blocks_delta", value=nan),
+        Observation(time=inf, kind="abort", node=2, key="m1", ref=1, value=nan),
+        Observation(time=3, kind="slot", key="slots", value=-inf),
+        Observation(time=2.0, kind="round", key="rounds", value=inf),
+        Observation(time=2.0, kind="ack", node=0, key="m0", ref=0),
+        Observation(time=1.5, kind="deliver", node=1, key="m0", value=2),
+        Observation(time=0.1 + 0.2, kind="rcv", node=1, key="m0", ref=0, value=-0.0),
+        Observation(time=0.1, kind="link_down", key="1-2", value=1e-300),
+        Observation(time=0.0, kind="bcast", node=0, key="m0", ref=0),
+        Observation(time=0.0, kind="arrival", node=0, key='mé"0', value=0.0),
+    )
+    meta = {"spec_key": "ab" * 32, "z": [1, 2.5, None], "a": {"é": "ü"}}
+    digests = {
+        False: "7cd5d9c6b4b0bec3ca89dcf795b9010129b80d0d2e5c62e0b81d6e1da3439ceb",
+        True: "c029e889291e20d6371abb23ce404bc0989586427dbc41992bbeb99d67badca0",
+    }
+    for include_profile, digest in digests.items():
+        data = dump_journal(stream, meta=meta, include_profile=include_profile)
+        assert hashlib.sha256(data).hexdigest() == digest, include_profile
+
+
+def test_write_journal_returns_the_kept_count(tmp_path):
+    stream = _stream() + (
+        Observation(time=1.0, kind="profile", key="wall_s", ref=-1, value=2.5),
+    )
+    path = tmp_path / "j.obs.jsonl.gz"
+    assert write_journal(path, stream) == 4
+    assert path.read_bytes() == dump_journal(stream)
+    assert write_journal(path, stream, include_profile=True) == 5
 
 
 def test_unsupported_format_version_rejected():
