@@ -13,7 +13,7 @@ import networkx as nx
 
 from repro.errors import TopologyError
 from repro.ids import NodeId
-from repro.topology.dualgraph import DualGraph
+from repro.topology.dualgraph import DualGraph, hop_diameter
 
 #: The overlay adjacency radius from the paper: MIS pairs within 3 G-hops.
 OVERLAY_RADIUS = 3
@@ -38,12 +38,7 @@ def build_overlay(dual: DualGraph, mis: frozenset[NodeId]) -> nx.Graph:
 
 def overlay_diameter(overlay: nx.Graph) -> int:
     """Hop diameter ``D_H`` (max over connected components)."""
-    diam = 0
-    for component in nx.connected_components(overlay):
-        sub = overlay.subgraph(component)
-        if sub.number_of_nodes() > 1:
-            diam = max(diam, nx.diameter(sub))
-    return diam
+    return hop_diameter(overlay.adj)
 
 
 def overlay_mirrors_components(dual: DualGraph, overlay: nx.Graph) -> bool:

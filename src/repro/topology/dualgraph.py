@@ -15,6 +15,11 @@ Performance notes:
   answered from arrays/dicts precomputed at construction or from
   **per-instance** caches filled on first use.  networkx is used only to
   *build* and validate the graphs; no hot path calls into it.
+* The diameter does not run one BFS per node through the distance cache:
+  :func:`hop_diameter` runs a bit-parallel BFS from every source at once
+  (one Python-int bitmask of reached sources per node), in blocks of at
+  most ``_DIAMETER_BLOCK`` sources.  Each block costs O(D·(n+|E|))
+  big-int ORs and O(n·block/8) bytes, and ``_bfs_cache`` is left untouched.
 * Caches are per-instance (plain dicts), not module-level ``lru_cache``:
   an ``lru_cache`` keyed on ``self`` would pin every :class:`DualGraph`
   (and its networkx graphs) alive process-wide — a real leak across the
@@ -28,7 +33,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Mapping
+from functools import reduce
+from operator import or_
+from typing import Collection, Iterable, Mapping
 
 import networkx as nx
 
@@ -37,9 +44,46 @@ from repro.ids import NodeId
 
 Position = tuple[float, float]
 
-#: Cap on the number of cached BFS sources per instance (a full all-pairs
-#: BFS on n=4096 stays bounded; the cache simply restarts when full).
+#: Cap on the number of cached BFS sources per instance (the cache serves
+#: point queries such as :meth:`DualGraph.distance`; it simply restarts
+#: when full).  The diameter does not go through it.
 _BFS_CACHE_MAX = 4096
+
+#: Sources per block of :func:`hop_diameter`'s bit-parallel BFS; bounds its
+#: masks at n·block bits.
+_DIAMETER_BLOCK = 4096
+
+
+def hop_diameter(adj: Mapping[NodeId, Collection[NodeId]]) -> int:
+    """Largest finite hop eccentricity of the graph with adjacency ``adj``.
+
+    That is the maximum diameter over connected components (0 when every
+    component is a single node).  Exact: one BFS from every source at once.
+    Each node holds a bitmask of the sources that have reached it, and one
+    round ORs every node's neighbors' masks into its own; the number of
+    rounds in which some mask still grows is the answer.  Sources run in
+    blocks of at most ``_DIAMETER_BLOCK``.
+    """
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[u] for u in adj[v]] for v in adj]
+    n = len(nbrs)
+    diameter = 0
+    for base in range(0, n, _DIAMETER_BLOCK):
+        reached = [0] * n
+        for s in range(base, min(base + _DIAMETER_BLOCK, n)):
+            reached[s] = 1 << (s - base)
+        rounds = 0
+        while True:
+            get = reached.__getitem__
+            grown = [
+                reduce(or_, map(get, nb), mask) for nb, mask in zip(nbrs, reached)
+            ]
+            if grown == reached:
+                break
+            reached = grown
+            rounds += 1
+        diameter = max(diameter, rounds)
+    return diameter
 
 
 class DualGraph:
@@ -234,14 +278,7 @@ class DualGraph:
         per-component bound in the paper uses.
         """
         if self._diameter_cache is None:
-            diam = 0
-            for component in self.components():
-                if len(component) > 1:
-                    for v in component:
-                        ecc = max(self._bfs(v).values())
-                        if ecc > diam:
-                            diam = ecc
-            self._diameter_cache = diam
+            self._diameter_cache = hop_diameter(self._g_adj)
         return self._diameter_cache
 
     def components(self) -> list[frozenset[NodeId]]:

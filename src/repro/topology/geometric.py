@@ -79,6 +79,63 @@ def unit_disk_graph(positions: dict[NodeId, Position], radius: float = 1.0) -> n
     return g
 
 
+def _check_grey_zone_params(c: float, grey_edge_probability: float) -> None:
+    if c < 1.0:
+        raise TopologyError(f"grey-zone constant must satisfy c >= 1, got {c}")
+    if not 0.0 <= grey_edge_probability <= 1.0:
+        raise TopologyError(
+            f"probability must be in [0,1], got {grey_edge_probability}"
+        )
+
+
+def _grey_zone_from_pairs(
+    positions: dict[NodeId, Position],
+    pairs: list[tuple[NodeId, NodeId, float]],
+    grey_edge_probability: float,
+    rng: RandomSource,
+    name: str,
+) -> DualGraph:
+    """The grey-zone dual graph over ``_close_pairs(positions, c)``.
+
+    Pairs at distance ≤ 1 are E, pairs in the grey band (1, c] are G'-edge
+    candidates.  The pairs are lexicographically sorted, so the
+    per-candidate Bernoulli draws happen in exactly the order the
+    historical all-pairs scan used.
+    """
+    reliable_edges: list[tuple[NodeId, NodeId]] = []
+    extra: list[tuple[NodeId, NodeId]] = []
+    for u, v, dist in pairs:
+        if dist <= 1.0 + 1e-12:
+            reliable_edges.append((u, v))
+        elif rng.bernoulli(grey_edge_probability):
+            extra.append((u, v))
+    return DualGraph.from_edges(
+        len(positions), reliable_edges, extra, positions=positions, name=name
+    )
+
+
+def _unit_disk_connected(
+    n: int, pairs: list[tuple[NodeId, NodeId, float]]
+) -> bool:
+    """True if the pairs at distance ≤ 1 connect nodes ``0..n-1`` (union-find)."""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    components = n
+    for u, v, dist in pairs:
+        if dist <= 1.0 + 1e-12:
+            ru, rv = root(u), root(v)
+            if ru != rv:
+                parent[ru] = rv
+                components -= 1
+    return components == 1
+
+
 def grey_zone_network(
     positions: dict[NodeId, Position],
     c: float,
@@ -98,30 +155,13 @@ def grey_zone_network(
         grey_edge_probability: Inclusion probability for grey-band pairs.
         rng: Random stream.
     """
-    if c < 1.0:
-        raise TopologyError(f"grey-zone constant must satisfy c >= 1, got {c}")
-    if not 0.0 <= grey_edge_probability <= 1.0:
-        raise TopologyError(
-            f"probability must be in [0,1], got {grey_edge_probability}"
-        )
-    # One bucketed pass at radius c yields both layers: pairs at distance
-    # ≤ 1 are E, pairs in the grey band (1, c] are G'-edge candidates.
-    # _close_pairs returns lexicographically sorted pairs, so the
-    # per-candidate Bernoulli draws happen in exactly the order the
-    # historical all-pairs scan used.
-    reliable_edges: list[tuple[NodeId, NodeId]] = []
-    extra: list[tuple[NodeId, NodeId]] = []
-    for u, v, dist in _close_pairs(positions, c):
-        if dist <= 1.0 + 1e-12:
-            reliable_edges.append((u, v))
-        elif rng.bernoulli(grey_edge_probability):
-            extra.append((u, v))
-    return DualGraph.from_edges(
-        len(positions),
-        reliable_edges,
-        extra,
-        positions=positions,
-        name=name or f"grey-zone-c{c}",
+    _check_grey_zone_params(c, grey_edge_probability)
+    return _grey_zone_from_pairs(
+        positions,
+        _close_pairs(positions, c),
+        grey_edge_probability,
+        rng,
+        name or f"grey-zone-c{c}",
     )
 
 
@@ -139,13 +179,16 @@ def random_geometric_network(
 
     With ``connect=True``, resamples until the unit-disk graph is connected
     (raising after ``max_attempts``); pick ``side ≲ sqrt(n)/2`` for easy
-    connectivity.
+    connectivity.  Each attempt finds the close pairs once, at radius ``c``:
+    the pairs within distance 1 decide connectivity, and the same pairs
+    build the grey-zone graph.
 
     Returns a :class:`DualGraph` with the embedding attached, so the FMMB
     subroutines and the grey-zone predicate can use positions.
     """
     if n < 1:
         raise TopologyError(f"need n >= 1, got {n}")
+    _check_grey_zone_params(c, grey_edge_probability)
     point_rng = rng.child("points")
     edge_rng = rng.child("grey-edges")
     for attempt in range(max_attempts):
@@ -153,14 +196,14 @@ def random_geometric_network(
             i: (point_rng.uniform(0.0, side), point_rng.uniform(0.0, side))
             for i in range(n)
         }
-        g = unit_disk_graph(positions)
-        if not connect or nx.is_connected(g):
-            return grey_zone_network(
+        pairs = _close_pairs(positions, c)
+        if not connect or _unit_disk_connected(n, pairs):
+            return _grey_zone_from_pairs(
                 positions,
-                c,
+                pairs,
                 grey_edge_probability,
                 edge_rng,
-                name=name or f"rgg-n{n}-side{side}-c{c}",
+                name or f"rgg-n{n}-side{side}-c{c}",
             )
     raise TopologyError(
         f"failed to sample a connected unit-disk graph in {max_attempts} "

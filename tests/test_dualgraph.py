@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology import DualGraph
+from repro.topology import dualgraph
+from repro.topology.dualgraph import hop_diameter
 
 
 def make_dual(n, reliable, extra, positions=None):
@@ -160,3 +164,77 @@ def test_euclidean_distance():
 def test_max_gprime_degree():
     dual = make_dual(4, [(0, 1), (0, 2)], [(0, 3)])
     assert dual.max_gprime_degree() == 3
+
+
+def _reference_diameter(g: nx.Graph) -> int:
+    """Max BFS eccentricity over all nodes (finite distances only)."""
+    return max(
+        (max(nx.single_source_shortest_path_length(g, v).values()) for v in g),
+        default=0,
+    )
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Random graphs on non-contiguous ids, often disconnected."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    ids = draw(
+        st.lists(
+            st.integers(min_value=-50, max_value=10_000),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    g = nx.Graph()
+    g.add_nodes_from(ids)
+    g.add_edges_from((ids[i], ids[j]) for i, j in chosen)
+    return g
+
+
+@given(sparse_graphs(), st.sampled_from([1, 2, 3, 7, 4096]))
+@settings(max_examples=150, deadline=None)
+def test_diameter_matches_per_component_bfs(g, block):
+    expected = _reference_diameter(g)
+    per_component = max(
+        (
+            nx.diameter(g.subgraph(c))
+            for c in nx.connected_components(g)
+            if len(c) > 1
+        ),
+        default=0,
+    )
+    assert expected == per_component
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dualgraph, "_DIAMETER_BLOCK", block)
+        dual = DualGraph(g, g.copy())
+        assert dual.diameter() == expected
+        assert hop_diameter(g.adj) == expected
+    assert dual._bfs_cache == {}
+
+
+@pytest.mark.parametrize(
+    "n, edges, expected",
+    [
+        (1, [], 0),
+        (6, [], 0),
+        (5, [(0, 1), (1, 2)], 2),
+        (9, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)], 4),
+    ],
+    ids=["single-node", "no-edges", "isolated-nodes", "disconnected"],
+)
+def test_diameter_edge_cases(n, edges, expected):
+    dual = make_dual(n, edges, [])
+    assert dual.diameter() == expected
+    assert dual._bfs_cache == {}
+
+
+def test_diameter_above_block_size(monkeypatch):
+    monkeypatch.setattr(dualgraph, "_DIAMETER_BLOCK", 4)
+    # A 23-node path plus a 3-cycle: seven source blocks, one of them split
+    # across both components.
+    line = [(i, i + 1) for i in range(22)]
+    dual = make_dual(26, line + [(23, 24), (24, 25), (25, 23)], [])
+    assert dual.diameter() == 22

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.errors import TopologyError
 from repro.sim.rng import RandomSource
+from repro.topology import serialization
 from repro.topology.geometric import (
     cluster_line_positions,
     grey_zone_network,
@@ -93,6 +96,59 @@ def test_random_geometric_network_raises_when_connection_impossible():
         random_geometric_network(
             40, side=100.0, c=1.6, grey_edge_probability=0.0, rng=rng, max_attempts=3
         )
+
+
+def test_random_geometric_network_validates_c_before_sampling():
+    rng = RandomSource(11)
+    with pytest.raises(TopologyError, match=r"c >= 1, got 0\.5"):
+        random_geometric_network(40, 30.0, c=0.5, grey_edge_probability=0.4, rng=rng)
+    with pytest.raises(TopologyError, match=r"probability must be in \[0,1\]"):
+        random_geometric_network(40, 30.0, c=1.6, grey_edge_probability=1.5, rng=rng)
+    assert rng.draws == 0
+
+
+@pytest.mark.parametrize(
+    "args, connect, digest, draws",
+    [
+        (
+            (30, 3.0, 1.6, 0.3, 11),
+            True,
+            "84738c774cf23d2ee5237d7b0ea61c4e78135960aebea158f33f1cacf6c81d33",
+            173,
+        ),
+        # Needs one connectivity resample.
+        (
+            (60, 4.5, 1.6, 0.4, 7),
+            True,
+            "6c61e74c8ede5cc7a152dde41e4ebbe1482b9c76bd569d5ddb3b7dfd0b47a24c",
+            568,
+        ),
+        # Needs five connectivity resamples.
+        (
+            (64, 5.0, 1.6, 0.4, 4),
+            True,
+            "9dfb2c78337809b67037f5c1f6f54295b305189973ddac8c5db3a515bf14e995",
+            1053,
+        ),
+        (
+            (12, 6.0, 2.0, 0.5, 5),
+            False,
+            "06923d2d292c608ba85d78e62fab1d19c9ef3f3cb0da6077f4d4341e770c0538",
+            33,
+        ),
+    ],
+)
+def test_random_geometric_network_bytes_are_pinned(args, connect, digest, draws):
+    """Positions, edges and RNG draw order are fixed: the serialized
+    topology and the draw count match the pinned values exactly."""
+    n, side, c, p, seed = args
+    rng = RandomSource(seed)
+    dual = random_geometric_network(n, side, c, p, rng, connect=connect)
+    text = json.dumps(
+        serialization.to_dict(dual), sort_keys=True, separators=(",", ":")
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert rng.draws == draws
 
 
 def test_cluster_line_positions_geometry():
