@@ -46,123 +46,128 @@ out over processes.  ``list_topologies()`` / ``list_schedulers()`` /
 ``list_algorithms()`` enumerate what a spec can name; the imperative
 entry points (:func:`run_standard`, :func:`run_protocol`,
 :func:`repro.core.fmmb.run_fmmb`) remain available underneath.
+
+Every name below is imported from its defining module when it is first
+read (PEP 562), so ``import repro`` alone loads no submodule and a caller
+pays only for the layers it uses.
 """
 
-from repro.version import __version__
-from repro.errors import (
-    AlgorithmError,
-    AxiomViolation,
-    ExperimentError,
-    MACError,
-    ReproError,
-    SchedulerError,
-    SimulationError,
-    TopologyError,
-    WellFormednessError,
-)
-from repro.ids import Message, MessageAssignment
-from repro.sim import RandomSource, Simulator
-from repro.topology import (
-    DualGraph,
-    choke_star_network,
-    combined_lower_bound_network,
-    grid_network,
-    grey_zone_network,
-    line_network,
-    parallel_lines_network,
-    random_geometric_network,
-    reliable_only,
-    ring_network,
-    star_network,
-    tree_network,
-    with_arbitrary_unreliable,
-    with_r_restricted_unreliable,
-)
-from repro.mac import (
-    EnhancedMACLayer,
-    StandardMACLayer,
-    check_axioms,
-)
-from repro.mac.axioms import assert_axioms
-from repro.mac.rounds import (
-    AdversarialRoundScheduler,
-    RandomRoundScheduler,
-    SlottedRoundEngine,
-)
-from repro.mac.schedulers import (
-    ChokeAdversary,
-    CombinedAdversary,
-    ContentionScheduler,
-    GreyZoneAdversary,
-    UniformDelayScheduler,
-    WorstCaseAckScheduler,
-)
-from repro.core import BMMBNode, SequentialFloodingCoordinator
-from repro.core.baselines import RedundantFloodingNode
-from repro.core.consensus import FloodConsensusNode, consensus_reached
-from repro.core.fmmb import FMMBConfig, run_fmmb
-from repro.core.leader import FloodMaxNode, elected_correctly
-from repro.core.problem import Arrival, ArrivalSchedule
-from repro.core.structuring import build_cds, cds_broadcast_schedule, validate_cds
-from repro.radio import RadioMACLayer, SINRRadioNetwork, SlottedRadioNetwork
-from repro.runtime import Observation, Probe, RunResult, run_standard
-from repro.runtime.runner import ProtocolRun, run_protocol
-from repro.analysis import (
-    bmmb_arbitrary_bound,
-    bmmb_gg_bound,
-    bmmb_r_restricted_bound,
-    choke_lower_bound,
-    figure2_lower_bound,
-    fmmb_bound_time,
-)
-from repro.experiments import (
-    AlgorithmSpec,
-    ExperimentResult,
-    ExperimentSpec,
-    FaultSpec,
-    ModelSpec,
-    SchedulerSpec,
-    Substrate,
-    SubstrateBase,
-    Sweep,
-    SweepResult,
-    TopologySpec,
-    WorkloadSpec,
-    list_algorithms,
-    list_faults,
-    list_macs,
-    list_schedulers,
-    list_substrates,
-    list_topologies,
-    list_workloads,
-    materialize_topology,
-    register_algorithm,
-    register_fault,
-    register_mac,
-    register_scheduler,
-    register_substrate,
-    register_topology,
-    register_workload,
-    run,
-    run_sweep,
-)
-from repro.campaigns import (
-    CampaignSpec,
-    ResultStore,
-    build_campaign,
-    list_campaigns,
-    register_campaign,
-    run_campaign,
-    verify_campaign,
-    write_artifacts,
-)
-from repro.faults import (
-    FaultEngine,
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-    survivor_outcome,
-)
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.version": ("__version__",),
+    "repro.errors": (
+        "AlgorithmError",
+        "AxiomViolation",
+        "ExperimentError",
+        "MACError",
+        "ReproError",
+        "SchedulerError",
+        "SimulationError",
+        "TopologyError",
+        "WellFormednessError",
+    ),
+    "repro.ids": ("Message", "MessageAssignment"),
+    "repro.sim": ("RandomSource", "Simulator"),
+    "repro.topology": (
+        "DualGraph",
+        "choke_star_network",
+        "combined_lower_bound_network",
+        "grid_network",
+        "grey_zone_network",
+        "line_network",
+        "parallel_lines_network",
+        "random_geometric_network",
+        "reliable_only",
+        "ring_network",
+        "star_network",
+        "tree_network",
+        "with_arbitrary_unreliable",
+        "with_r_restricted_unreliable",
+    ),
+    "repro.mac": ("EnhancedMACLayer", "StandardMACLayer", "check_axioms"),
+    "repro.mac.axioms": ("assert_axioms",),
+    "repro.mac.rounds": (
+        "AdversarialRoundScheduler",
+        "RandomRoundScheduler",
+        "SlottedRoundEngine",
+    ),
+    "repro.mac.schedulers": (
+        "ChokeAdversary",
+        "CombinedAdversary",
+        "ContentionScheduler",
+        "GreyZoneAdversary",
+        "UniformDelayScheduler",
+        "WorstCaseAckScheduler",
+    ),
+    "repro.core": ("BMMBNode", "SequentialFloodingCoordinator"),
+    "repro.core.baselines": ("RedundantFloodingNode",),
+    "repro.core.consensus": ("FloodConsensusNode", "consensus_reached"),
+    "repro.core.fmmb": ("FMMBConfig", "run_fmmb"),
+    "repro.core.leader": ("FloodMaxNode", "elected_correctly"),
+    "repro.core.problem": ("Arrival", "ArrivalSchedule"),
+    "repro.core.structuring": ("build_cds", "cds_broadcast_schedule", "validate_cds"),
+    "repro.radio": ("RadioMACLayer", "SINRRadioNetwork", "SlottedRadioNetwork"),
+    "repro.runtime": ("Observation", "Probe", "RunResult", "run_standard"),
+    "repro.runtime.runner": ("ProtocolRun", "run_protocol"),
+    "repro.analysis": (
+        "bmmb_arbitrary_bound",
+        "bmmb_gg_bound",
+        "bmmb_r_restricted_bound",
+        "choke_lower_bound",
+        "figure2_lower_bound",
+        "fmmb_bound_time",
+    ),
+    "repro.experiments": (
+        "AlgorithmSpec",
+        "ExperimentResult",
+        "ExperimentSpec",
+        "FaultSpec",
+        "ModelSpec",
+        "SchedulerSpec",
+        "Substrate",
+        "SubstrateBase",
+        "Sweep",
+        "SweepResult",
+        "TopologySpec",
+        "WorkloadSpec",
+        "list_algorithms",
+        "list_faults",
+        "list_macs",
+        "list_schedulers",
+        "list_substrates",
+        "list_topologies",
+        "list_workloads",
+        "materialize_topology",
+        "register_algorithm",
+        "register_fault",
+        "register_mac",
+        "register_scheduler",
+        "register_substrate",
+        "register_topology",
+        "register_workload",
+        "run",
+        "run_sweep",
+    ),
+    "repro.campaigns": (
+        "CampaignSpec",
+        "ResultStore",
+        "build_campaign",
+        "list_campaigns",
+        "register_campaign",
+        "run_campaign",
+        "verify_campaign",
+        "write_artifacts",
+    ),
+    "repro.faults": (
+        "FaultEngine",
+        "FaultEvent",
+        "FaultKind",
+        "FaultPlan",
+        "survivor_outcome",
+    ),
+}
 
 __all__ = [
     "__version__",
@@ -288,3 +293,5 @@ __all__ = [
     "verify_campaign",
     "write_artifacts",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

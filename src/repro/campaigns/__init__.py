@@ -31,64 +31,69 @@ Quickstart::
     assert report.ok
 """
 
-from repro.campaigns.chaos import ChaosSpec, parse_chaos
-from repro.campaigns.supervision import (
-    INTERRUPT_EXIT,
-    RESUMABLE_EXIT,
-    FabricConfig,
-    FabricEvent,
-    FabricHealth,
-    backoff_delay,
-    run_supervised,
-)
-from repro.campaigns.builtin import (
-    CAMPAIGNS,
-    CampaignEntry,
-    build_campaign,
-    list_campaigns,
-    register_campaign,
-)
-from repro.campaigns.checks import (
-    BOUNDS,
-    CHECKS,
-    Point,
-    bound_value,
-    register_bound,
-    register_check,
-    workload_k,
-    y_value,
-)
-from repro.campaigns.diff import DiffReport, PointDiff, diff_campaign
-from repro.campaigns.executor import (
-    CampaignPoint,
-    CampaignRun,
-    CheckOutcome,
-    VerifyReport,
-    collect_results,
-    evaluate_checks,
-    evaluate_trace_checks,
-    expand_points,
-    parse_shard,
-    results_by_sweep,
-    run_campaign,
-    shard_points,
-    verify_campaign,
-)
-from repro.campaigns.report import campaign_summary_rows, write_artifacts
-from repro.campaigns.spec import (
-    CampaignSpec,
-    CheckSpec,
-    FigureSpec,
-    SeriesSpec,
-    SweepDirective,
-    scaled_values,
-)
-from repro.campaigns.store import ResultStore, StoreStats, spec_key
-from repro.campaigns.trace_checks import (
-    TRACE_CHECKS,
-    register_trace_check,
-    run_trace_check,
-)
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.campaigns.chaos": ("ChaosSpec", "parse_chaos"),
+    "repro.campaigns.supervision": (
+        "INTERRUPT_EXIT",
+        "RESUMABLE_EXIT",
+        "FabricConfig",
+        "FabricEvent",
+        "FabricHealth",
+        "backoff_delay",
+        "run_supervised",
+    ),
+    "repro.campaigns.builtin": (
+        "CAMPAIGNS",
+        "CampaignEntry",
+        "build_campaign",
+        "list_campaigns",
+        "register_campaign",
+    ),
+    "repro.campaigns.checks": (
+        "BOUNDS",
+        "CHECKS",
+        "Point",
+        "bound_value",
+        "register_bound",
+        "register_check",
+        "workload_k",
+        "y_value",
+    ),
+    "repro.campaigns.diff": ("DiffReport", "PointDiff", "diff_campaign"),
+    "repro.campaigns.executor": (
+        "CampaignPoint",
+        "CampaignRun",
+        "CheckOutcome",
+        "VerifyReport",
+        "collect_results",
+        "evaluate_checks",
+        "evaluate_trace_checks",
+        "expand_points",
+        "parse_shard",
+        "results_by_sweep",
+        "run_campaign",
+        "shard_points",
+        "verify_campaign",
+    ),
+    "repro.campaigns.report": ("campaign_summary_rows", "write_artifacts"),
+    "repro.campaigns.spec": (
+        "CampaignSpec",
+        "CheckSpec",
+        "FigureSpec",
+        "SeriesSpec",
+        "SweepDirective",
+        "scaled_values",
+    ),
+    "repro.campaigns.store": ("ResultStore", "StoreStats", "spec_key"),
+    "repro.campaigns.trace_checks": (
+        "TRACE_CHECKS",
+        "register_trace_check",
+        "run_trace_check",
+    ),
+}
 
 __all__ = [
     "BOUNDS",
@@ -144,3 +149,5 @@ __all__ = [
     "write_artifacts",
     "y_value",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -9,11 +9,14 @@ and its hop diameter ``D_H`` satisfies ``D_H ≤ D``.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
 from repro.ids import NodeId
 from repro.topology.dualgraph import DualGraph, hop_diameter
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: The overlay adjacency radius from the paper: MIS pairs within 3 G-hops.
 OVERLAY_RADIUS = 3
@@ -24,6 +27,8 @@ def build_overlay(dual: DualGraph, mis: frozenset[NodeId]) -> nx.Graph:
     missing = [v for v in mis if not dual.reliable_graph.has_node(v)]
     if missing:
         raise TopologyError(f"MIS nodes not in topology: {missing[:5]}")
+    import networkx as nx
+
     overlay = nx.Graph()
     overlay.add_nodes_from(sorted(mis))
     for v in sorted(mis):
@@ -47,6 +52,8 @@ def overlay_mirrors_components(dual: DualGraph, overlay: nx.Graph) -> bool:
     Used as a postcondition test: for a valid (maximal) MIS, the MIS nodes
     of one ``G``-component must form one ``H``-component.
     """
+    import networkx as nx
+
     for component in dual.components():
         members = [v for v in component if overlay.has_node(v)]
         if len(members) <= 1:

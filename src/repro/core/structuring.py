@@ -22,14 +22,16 @@ collision-free dissemination plan whose length is ``O(D)`` backbone hops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.fmmb.mis import require_valid_mis
 from repro.core.fmmb.overlay import build_overlay
 from repro.errors import AlgorithmError, TopologyError
 from repro.ids import NodeId
 from repro.topology.dualgraph import DualGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ def build_cds(dual: DualGraph, mis: frozenset[NodeId]) -> Backbone:
 
     Raises :class:`AlgorithmError` if ``mis`` is not independent+maximal.
     """
+    import networkx as nx
+
     require_valid_mis(dual, mis)
     overlay = build_overlay(dual, mis)
     connectors: set[NodeId] = set()
@@ -86,6 +90,8 @@ def is_dominating(dual: DualGraph, members: frozenset[NodeId]) -> bool:
 
 def is_connected_within_components(dual: DualGraph, backbone: Backbone) -> bool:
     """True iff the backbone is connected inside every ``G``-component."""
+    import networkx as nx
+
     for component in dual.components():
         present = [v for v in component if v in backbone.members]
         if len(present) <= 1:
@@ -141,6 +147,8 @@ def cds_broadcast_schedule(
         root = min(dominators)
     covered: set[NodeId] = {source}
     schedule: list[BroadcastStep] = []
+    import networkx as nx
+
     order = nx.bfs_tree(backbone.graph.subgraph(
         [v for v in component if v in backbone.members]
     ), root)

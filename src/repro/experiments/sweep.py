@@ -5,7 +5,7 @@
 ``"seed"``), deriving an independent per-point seed from the base seed so
 replicated points are statistically independent yet exactly reproducible.
 :func:`run_sweep` executes a spec list — serially, or fanned out over a
-``ProcessPoolExecutor`` — and aggregates the summaries in a
+:class:`multiprocessing.Pool` — and aggregates the summaries in a
 :class:`SweepResult` (rates, summary statistics, percentiles).
 
 Because specs are frozen value objects and results summarize to plain
@@ -378,6 +378,11 @@ def run_sweep(
             (index, spec, options) for index, spec in enumerate(spec_list)
         ]
         ordered: list[ExperimentResult | None] = [None] * len(jobs)
+        # Workers fork from this process (the default start method on
+        # Linux): importing networkx once here, not in every worker, keeps
+        # the import out of each point's wall time.
+        import networkx  # noqa: F401
+
         with multiprocessing.Pool(processes=workers) as pool:
             for index, result in pool.imap_unordered(
                 _run_indexed, jobs, chunksize=chunksize

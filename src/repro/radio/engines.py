@@ -55,10 +55,12 @@ from typing import Any, Callable, Iterator
 from repro.errors import ExperimentError
 from repro.ids import NodeId
 
-try:  # numpy is optional (the "fast" install extra); everything here
-    import numpy as _np  # degrades to the reference engine without it.
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
+#: :data:`_np` before :func:`_numpy` has tried to import numpy.
+_UNTRIED: Any = object()
+#: The numpy module, or ``None`` when it is not importable (numpy is the
+#: optional "fast" extra; everything here degrades to the reference engine
+#: without it).  Tests set it to ``None`` to run as if numpy were absent.
+_np: Any = _UNTRIED
 
 #: The engine name specs default to (and the only one with no deps).
 DEFAULT_ENGINE = "reference"
@@ -137,9 +139,26 @@ class EngineRegistry:
 RECEPTION_ENGINES = EngineRegistry("reception engine")
 
 
+def _numpy() -> Any:
+    """The numpy module, or ``None`` without it.
+
+    Imported on first use, not with this module, so runs that never touch
+    the vectorized engine never load numpy; the outcome is cached in
+    :data:`_np`.
+    """
+    global _np
+    if _np is _UNTRIED:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        _np = numpy
+    return _np
+
+
 def numpy_available() -> bool:
-    """Whether numpy imported (the ``vectorized`` engine's requirement)."""
-    return _np is not None
+    """Whether numpy imports (the ``vectorized`` engine's requirement)."""
+    return _numpy() is not None
 
 
 def engine_names(include_auto: bool = True) -> list[str]:
@@ -321,7 +340,7 @@ class _FaultMasks:
     def refresh(self, engine) -> None:
         if self._epoch == engine.epoch:
             return
-        np = _np
+        np = _numpy()
         self.active = np.fromiter(
             (engine.is_active(v) for v in self._nodes),
             dtype=bool,
@@ -344,7 +363,7 @@ def _slotted_vectorized_pass(network) -> SlotPass:
     coins come from the same stream, in the same order, in the same
     count.
     """
-    np = _np
+    np = _numpy()
     dual = network.dual
     nodes = dual.nodes_sorted
     n = len(nodes)
@@ -429,7 +448,7 @@ def _sinr_vectorized_pass(network) -> SlotPass:
     """
     from repro.radio.sinr import MIN_DISTANCE
 
-    np = _np
+    np = _numpy()
     dual = network.dual
     nodes = dual.nodes_sorted
     n = len(nodes)

@@ -12,31 +12,36 @@ local cache.  :func:`open_backend` maps ``--store`` arguments (paths or
 ``repro store {sync,verify,gc}`` implementations.
 """
 
-from repro.store.backend import (
-    KIND_SUFFIXES,
-    KINDS,
-    StoreBackend,
-    StoreError,
-    StoreIntegrityError,
-    StoreUnavailableError,
-    entry_filename,
-    entry_relpath,
-    open_backend,
-    parse_entry_filename,
-    valid_key,
-)
-from repro.store.http import HttpBackend
-from repro.store.local import LocalBackend
-from repro.store.retry import deterministic_backoff
-from repro.store.server import make_server, serve
-from repro.store.tools import (
-    GcReport,
-    StoreVerifyReport,
-    SyncReport,
-    gc_store,
-    sync_stores,
-    verify_store,
-)
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.store.backend": (
+        "KIND_SUFFIXES",
+        "KINDS",
+        "StoreBackend",
+        "StoreError",
+        "StoreIntegrityError",
+        "StoreUnavailableError",
+        "entry_filename",
+        "entry_relpath",
+        "open_backend",
+        "parse_entry_filename",
+        "valid_key",
+    ),
+    "repro.store.http": ("HttpBackend",),
+    "repro.store.local": ("LocalBackend",),
+    "repro.store.retry": ("deterministic_backoff",),
+    "repro.store.server": ("make_server", "serve"),
+    "repro.store.tools": (
+        "GcReport",
+        "StoreVerifyReport",
+        "SyncReport",
+        "gc_store",
+        "sync_stores",
+        "verify_store",
+    ),
+}
 
 __all__ = [
     "KINDS",
@@ -62,3 +67,5 @@ __all__ = [
     "valid_key",
     "verify_store",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -14,7 +14,9 @@ Performance notes:
   tuples, node lists, BFS distances, components, diameter, ``G^r`` — is
   answered from arrays/dicts precomputed at construction or from
   **per-instance** caches filled on first use.  networkx is used only to
-  *build* and validate the graphs; no hot path calls into it.
+  *build* and validate the graphs; no hot path calls into it, and it is
+  imported inside the functions that build graphs, so importing this
+  module does not load it.
 * The diameter does not run one BFS per node through the distance cache:
   :func:`hop_diameter` runs a bit-parallel BFS from every source at once
   (one Python-int bitmask of reached sources per node), in blocks of at
@@ -35,12 +37,13 @@ import math
 from collections import deque
 from functools import reduce
 from operator import or_
-from typing import Collection, Iterable, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from repro.errors import TopologyError
 from repro.ids import NodeId
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Position = tuple[float, float]
 
@@ -330,6 +333,8 @@ class DualGraph:
         cached = self._power_cache.get(r)
         if cached is not None:
             return cached
+        import networkx as nx
+
         adj = self._g_adj
         power = nx.Graph()
         power.add_nodes_from(self._g.nodes)
@@ -430,6 +435,8 @@ class DualGraph:
         ``unreliable_extra_edges`` lists only the edges of ``G' \\ G``; the
         reliable edges are included in ``G'`` automatically.
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(n))
         g.add_edges_from(reliable_edges)

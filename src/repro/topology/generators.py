@@ -12,12 +12,15 @@ the unreliable layer ``G' \\ G`` in the three regimes the paper studies:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
 from repro.ids import NodeId
 from repro.sim.rng import RandomSource
 from repro.topology.dualgraph import DualGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 # ----------------------------------------------------------------------
@@ -27,6 +30,8 @@ def line_graph(n: int) -> nx.Graph:
     """A path ``0 — 1 — ... — n-1`` (diameter ``n − 1``)."""
     if n < 1:
         raise TopologyError(f"line needs n >= 1, got {n}")
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from((i, i + 1) for i in range(n - 1))
@@ -46,6 +51,8 @@ def star_graph(n: int) -> nx.Graph:
     """A star: hub ``0`` connected to leaves ``1..n-1``."""
     if n < 2:
         raise TopologyError(f"star needs n >= 2, got {n}")
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from((0, i) for i in range(1, n))
@@ -56,6 +63,8 @@ def grid_graph(rows: int, cols: int) -> nx.Graph:
     """A ``rows × cols`` 2-D grid with integer node ids ``r*cols + c``."""
     if rows < 1 or cols < 1:
         raise TopologyError(f"grid needs positive dimensions, got {rows}x{cols}")
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(rows * cols))
     for r in range(rows):
@@ -74,6 +83,8 @@ def tree_graph(branching: int, height: int) -> nx.Graph:
         raise TopologyError(
             f"tree needs branching >= 1 and height >= 0, got {branching}, {height}"
         )
+    import networkx as nx
+
     g = nx.Graph()
     g.add_node(0)
     frontier = [0]
@@ -94,6 +105,8 @@ def tree_graph(branching: int, height: int) -> nx.Graph:
 # ----------------------------------------------------------------------
 def reliable_only(g: nx.Graph, name: str = "g-equals-gprime") -> DualGraph:
     """The ``G' = G`` regime of [29, 30]: no unreliable edges at all."""
+    import networkx as nx
+
     gp = nx.Graph()
     gp.add_nodes_from(g.nodes)
     gp.add_edges_from(g.edges)
@@ -154,6 +167,8 @@ def with_r_restricted_unreliable(
         raise TopologyError(f"r must be >= 1, got {r}")
     if not 0.0 <= probability <= 1.0:
         raise TopologyError(f"probability must be in [0,1], got {probability}")
+    import networkx as nx
+
     extra: list[tuple[NodeId, NodeId]] = []
     for v in sorted(g.nodes):
         lengths = nx.single_source_shortest_path_length(g, v, cutoff=r)

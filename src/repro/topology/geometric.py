@@ -14,13 +14,15 @@ be ``G'``-neighbors, so we expose a sampling probability for the grey band.
 from __future__ import annotations
 
 import math
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
 from repro.ids import NodeId
 from repro.sim.rng import RandomSource
 from repro.topology.dualgraph import DualGraph, Position
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _close_pairs(
@@ -73,6 +75,8 @@ def _close_pairs(
 
 def unit_disk_graph(positions: dict[NodeId, Position], radius: float = 1.0) -> nx.Graph:
     """The unit-disk graph of an embedding: edges at distance ≤ ``radius``."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(positions)
     g.add_edges_from((u, v) for u, v, _dist in _close_pairs(positions, radius))
