@@ -21,7 +21,7 @@ from repro.campaigns import (
     results_by_sweep,
     run_campaign,
 )
-from repro.experiments import run
+from repro.experiments import RunOptions, run
 
 
 def bench_standard_gg_scaling(benchmark, report):
@@ -38,8 +38,7 @@ def bench_standard_gg_scaling(benchmark, report):
     representative = campaign.sweep("d_scaling").expand()[-1]
     benchmark.pedantic(
         run,
-        args=(representative,),
-        kwargs={"keep_raw": False},
+        args=(representative, RunOptions.summary()),
         rounds=3,
         iterations=1,
     )

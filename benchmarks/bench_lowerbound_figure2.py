@@ -23,7 +23,7 @@ from repro.campaigns import (
     results_by_sweep,
     run_campaign,
 )
-from repro.experiments import materialize_topology, run
+from repro.experiments import RunOptions, materialize_topology, run
 
 FACK = 20.0
 FPROG = 1.0
@@ -38,7 +38,7 @@ def bench_lowerbound_figure2(benchmark, report):
     assert not failures, failures
     # Axiom-certify the smallest adversarial execution (raw instances).
     smallest = campaign.sweep("adversarial").expand()[0]
-    certified = run(smallest, keep_raw=True)
+    certified = run(smallest)
     cert = check_axioms(
         certified.raw.instances, materialize_topology(smallest), FACK, FPROG
     )
@@ -50,8 +50,7 @@ def bench_lowerbound_figure2(benchmark, report):
     representative = campaign.sweep("adversarial").expand()[-1]
     benchmark.pedantic(
         run,
-        args=(representative,),
-        kwargs={"keep_raw": False},
+        args=(representative, RunOptions.summary()),
         rounds=3,
         iterations=1,
     )

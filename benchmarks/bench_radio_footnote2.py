@@ -21,7 +21,7 @@ from repro.campaigns import (
     results_by_sweep,
     run_campaign,
 )
-from repro.experiments import run
+from repro.experiments import RunOptions, run
 
 
 def bench_radio_footnote2(benchmark, report):
@@ -47,8 +47,7 @@ def bench_radio_footnote2(benchmark, report):
     )
     benchmark.pedantic(
         run,
-        args=(representative,),
-        kwargs={"keep_raw": False},
+        args=(representative, RunOptions.summary()),
         rounds=3,
         iterations=1,
     )

@@ -28,6 +28,7 @@ from repro import (
     run,
 )
 from repro.analysis.tables import render_table
+from repro.experiments import RunOptions
 
 #: The gallery: scenario name → FaultSpec parameters.
 SCENARIOS: list[FaultSpec] = [
@@ -61,7 +62,7 @@ def main(seed: int = 7) -> None:
     rows = []
     for fault in SCENARIOS:
         spec = replace(base, fault=fault, name=f"gallery-{fault.kind}")
-        result = run(spec, keep_raw=False)
+        result = run(spec, RunOptions.summary())
         metrics = result.metrics
         rows.append(
             {

@@ -14,7 +14,7 @@ The package implements the paper's model and algorithms end to end:
 * an experiment runtime and analysis helpers
   (:mod:`repro.runtime`, :mod:`repro.analysis`),
 * a declarative experiment API — specs, registries, one ``run``
-  dispatcher, and a process-parallel sweep engine
+  dispatcher with one options surface (``RunOptions``), and sweeps
   (:mod:`repro.experiments`),
 * resumable reproduction campaigns — sharded, checkpointed sweeps with
   figure/report generation that regenerate the paper's result set
@@ -42,7 +42,7 @@ Quickstart::
 Specs are frozen and JSON-round-trippable (``ExperimentSpec.from_json(
 spec.to_json()) == spec``), every random stream derives from ``spec.seed``,
 and ``run_sweep(Sweep.grid(spec, axes), workers=N)`` fans a parameter grid
-out over processes.  ``list_topologies()`` / ``list_schedulers()`` /
+out over the campaign fabric's worker processes.  ``list_topologies()`` / ``list_schedulers()`` /
 ``list_algorithms()`` enumerate what a spec can name; the imperative
 entry points (:func:`run_standard`, :func:`run_protocol`,
 :func:`repro.core.fmmb.run_fmmb`) remain available underneath.

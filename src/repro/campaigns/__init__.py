@@ -4,8 +4,8 @@ A campaign bundles everything needed to regenerate one of the paper's
 artifacts: a named set of sweeps (expanding to deterministic
 :class:`~repro.experiments.specs.ExperimentSpec` points), figure
 directives, and machine-checkable validation.  The executor shards points
-deterministically across jobs/machines, runs them through the parallel
-sweep runner, and checkpoints every completed point into a
+deterministically across jobs/machines, runs them on the supervised
+worker fabric, and checkpoints every completed point into a
 content-addressed, checksummed result store — so an interrupted campaign
 resumes with zero recomputation and running twice is a no-op.
 
@@ -20,12 +20,13 @@ all share one cache.
 Quickstart::
 
     from repro.campaigns import (
-        ResultStore, build_campaign, run_campaign, verify_campaign,
+        FabricConfig, ResultStore, build_campaign, run_campaign,
+        verify_campaign,
     )
 
     campaign = build_campaign("figure1", n_max=32)
     store = ResultStore("artifacts/store")
-    outcome = run_campaign(campaign, store, workers=4)
+    outcome = run_campaign(campaign, store, fabric=FabricConfig(workers=4))
     print(outcome.describe())          # "... cache hit 0.0%" first time
     report = verify_campaign(campaign, store)
     assert report.ok

@@ -30,6 +30,10 @@ measures do:
   points are missing, and the CLI exits with :data:`RESUMABLE_EXIT` so
   automation knows ``campaign resume`` will finish the job.
 
+The fabric is the package's only process pool: a parallel
+:func:`~repro.experiments.sweep.run_sweep` runs its points here too,
+without a store and without retries.
+
 Faults are injected deterministically by :mod:`repro.campaigns.chaos`;
 because injected faults stop firing after ``times`` attempts and the
 supervisor validates ``times <= max_retries``, a chaos run converges to
@@ -216,11 +220,11 @@ class FabricHealth:
 class FabricJob:
     """One unit of supervised work: run ``spec``, checkpoint the result.
 
-    ``position`` is the point's index in the campaign's deterministic
-    expansion order (the executor's ``points`` list); ``label`` names it
-    for health events (``sweep[index]``).  ``journaled`` selects the
-    observation-keeping worker and a journal checkpoint; ``options``
-    overrides the per-point capture entirely (a
+    ``position`` is the point's index in the caller's deterministic
+    order (the executor's ``points`` list, or a sweep's spec list);
+    ``label`` names it for health events (``sweep[index]``).
+    ``journaled`` selects the observation-keeping worker and a journal
+    checkpoint; ``options`` overrides the per-point capture entirely (a
     :class:`~repro.experiments.runner.RunOptions` from the sweep
     directive) — ``None`` derives it from ``journaled``.
     """

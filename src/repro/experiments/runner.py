@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -111,7 +110,8 @@ class ExperimentResult:
             :mod:`repro.runtime.observations`), with run-level
             ``profile`` markers appended by ``run``; empty on
             ``keep_raw=False`` runs.  Excluded from equality and
-            serialization (persist it with ``run(spec, journal=...)``).
+            serialization (persist it with
+            ``run(spec, RunOptions(journal=...))``).
     """
 
     spec: ExperimentSpec
@@ -294,82 +294,25 @@ class RunOptions:
         return cls(keep_raw=True)
 
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit value in
-#: the deprecated ``run(spec, keep_raw=..., ...)`` compatibility surface.
-_LEGACY_UNSET: Any = object()
-
-
-def _resolve_options(
-    options: RunOptions | bool | None,
-    keep_raw: Any,
-    window: Any,
-    max_windows: Any,
-    journal: Any,
-) -> RunOptions:
-    """Fold the deprecated per-kwarg surface into a :class:`RunOptions`."""
-    if isinstance(options, bool):
-        # Historical positional form ``run(spec, False)`` — the second
-        # argument used to be ``keep_raw``.
-        if keep_raw is not _LEGACY_UNSET:
-            raise ExperimentError(
-                "run() got keep_raw twice (positionally and by keyword)"
-            )
-        options, keep_raw = None, options
-    legacy = {
-        name: value
-        for name, value in (
-            ("keep_raw", keep_raw),
-            ("window", window),
-            ("max_windows", max_windows),
-            ("journal", journal),
-        )
-        if value is not _LEGACY_UNSET
-    }
-    if not legacy:
-        return options if options is not None else RunOptions()
-    if options is not None:
-        raise ExperimentError(
-            "pass run options either as RunOptions(...) or as the legacy "
-            f"keyword arguments, not both (got options and "
-            f"{', '.join(sorted(legacy))})"
-        )
-    warnings.warn(
-        "run(spec, keep_raw=..., window=..., max_windows=..., journal=...) "
-        "is deprecated; pass run(spec, RunOptions(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return RunOptions(**legacy)
-
-
 def run(
-    spec: ExperimentSpec,
-    options: RunOptions | bool | None = None,
-    *,
-    keep_raw: bool = _LEGACY_UNSET,
-    window: float | None = _LEGACY_UNSET,
-    max_windows: int | None = _LEGACY_UNSET,
-    journal: str | Path | None = _LEGACY_UNSET,
+    spec: ExperimentSpec, options: RunOptions | None = None
 ) -> ExperimentResult:
     """Execute one spec on its substrate and summarize the outcome.
 
     Args:
         spec: The experiment description.
         options: Capture/persistence options (see :class:`RunOptions`);
-            ``None`` means the defaults.  The individual keyword
-            arguments are the deprecated pre-``RunOptions`` surface —
-            still honored (with a :class:`DeprecationWarning`), but they
-            cannot be combined with ``options``.
+            ``None`` means the defaults.
 
     Returns:
         The :class:`ExperimentResult`.
 
     Raises:
-        ExperimentError: Unknown substrate, a capability mismatch (e.g. a
-            fault scenario on a substrate with ``supports_faults=False``),
-            or an invalid option bundle.
+        ExperimentError: Unknown substrate, or a capability mismatch
+            (e.g. a fault scenario on a substrate with
+            ``supports_faults=False``).
     """
-    opts = _resolve_options(options, keep_raw, window, max_windows, journal)
+    opts = options if options is not None else RunOptions()
     substrate = SUBSTRATES.get(spec.substrate)
     check_capabilities(spec, substrate)
     started = _time.perf_counter()

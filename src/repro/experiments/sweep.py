@@ -4,9 +4,11 @@
 (``"topology.n"``, ``"model.fack"``, ``"scheduler.p_unreliable"``,
 ``"seed"``), deriving an independent per-point seed from the base seed so
 replicated points are statistically independent yet exactly reproducible.
-:func:`run_sweep` executes a spec list — serially, or fanned out over a
-:class:`multiprocessing.Pool` — and aggregates the summaries in a
-:class:`SweepResult` (rates, summary statistics, percentiles).
+:func:`run_sweep` executes a spec list — serially, or fanned out over the
+campaign fabric's worker processes
+(:func:`~repro.campaigns.supervision.run_supervised`) — and aggregates
+the summaries in a :class:`SweepResult` (rates, summary statistics,
+percentiles).
 
 Because specs are frozen value objects and results summarize to plain
 scalars, a parallel sweep returns *exactly* the results of a serial one,
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -31,7 +32,7 @@ from repro.sim.rng import derive_seed
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
 
 
-def _with_path(spec: ExperimentSpec, path: str, value: Any) -> ExperimentSpec:
+def with_path(spec: ExperimentSpec, path: str, value: Any) -> ExperimentSpec:
     """Return a copy of ``spec`` with the dotted ``path`` set to ``value``.
 
     Top-level fields (``seed``, ``substrate``, ``name``) are addressed
@@ -85,11 +86,6 @@ def _with_path(spec: ExperimentSpec, path: str, value: Any) -> ExperimentSpec:
     raise ExperimentError(f"sweep axis {path!r} addresses a non-spec field")
 
 
-def with_path(spec: ExperimentSpec, path: str, value: Any) -> ExperimentSpec:
-    """Public alias of :func:`_with_path` (campaign expansion uses it)."""
-    return _with_path(spec, path, value)
-
-
 def path_value(spec: ExperimentSpec, path: str) -> Any:
     """Read the value a sweep axis ``path`` addresses on ``spec``.
 
@@ -138,7 +134,7 @@ class Sweep:
 
         Args:
             base: The spec every grid point starts from.
-            axes: Dotted path → values (see :func:`_with_path`).  ``None``
+            axes: Dotted path → values (see :func:`with_path`).  ``None``
                 or empty sweeps nothing but still honors ``repeats``.
             repeats: Independent replications of every grid point.
             derive_seeds: Give each produced spec
@@ -175,7 +171,7 @@ class Sweep:
                 key=lambda kv: (kv[0].rpartition(".")[2] != "kind", kv[0]),
             )
             for key, value in ordered:
-                point = _with_path(point, key, value)
+                point = with_path(point, key, value)
             label = ",".join(f"{k}={v}" for k, v in zip(keys, values))
             for rep in range(repeats):
                 tag = f"{label}#{rep}" if label else f"#{rep}"
@@ -210,49 +206,6 @@ def _run_with_options(
     if result.raw is not None:
         result = dataclasses.replace(result, raw=None)
     return result
-
-
-def _run_summary(spec: ExperimentSpec) -> ExperimentResult:
-    """Top-level worker function (must be picklable for process pools)."""
-    return _run_with_options(spec, RunOptions.summary())
-
-
-def _run_observed(spec: ExperimentSpec) -> ExperimentResult:
-    """Summary worker that keeps the observation stream."""
-    return _run_with_options(spec, RunOptions.observed())
-
-
-def _run_indexed(
-    job: tuple[int, ExperimentSpec, RunOptions],
-) -> tuple[int, ExperimentResult]:
-    """Chunk-friendly worker: tags each summary with its submission index.
-
-    ``imap_unordered`` returns results in completion order; the index lets
-    the parent restore submission order exactly, so a parallel sweep stays
-    byte-identical to a serial one.
-    """
-    index, spec, options = job
-    return index, _run_with_options(spec, options)
-
-
-def _run_indexed_observed(
-    job: tuple[int, ExperimentSpec],
-) -> tuple[int, ExperimentResult]:
-    """Indexed variant of :func:`_run_observed` (parallel journaling)."""
-    index, spec = job
-    return index, _run_observed(spec)
-
-
-def default_chunksize(jobs: int, workers: int) -> int:
-    """A sensible ``imap_unordered`` chunk size.
-
-    Large enough to amortize pickling/IPC per task (each worker receives
-    whole chunks of specs at once and deserializes them together), small
-    enough to keep ~4 chunks per worker in flight for load balancing.
-    """
-    if workers <= 0:
-        return 1
-    return max(1, jobs // (workers * 4))
 
 
 @dataclass(frozen=True)
@@ -318,79 +271,69 @@ class SweepResult:
 def run_sweep(
     specs: Iterable[ExperimentSpec],
     workers: int | None = None,
-    chunksize: int | None = None,
-    keep_observations: bool = False,
     options: RunOptions | None = None,
 ) -> SweepResult:
     """Run every spec and aggregate the summaries.
 
     Args:
         specs: The specs to run (order is preserved in the result).
-        workers: ``None`` or ``<= 1`` runs serially in-process; otherwise a
-            :class:`multiprocessing.Pool` with that many workers fans the
-            specs out.  Results are identical either way — every run is
-            seed-deterministic and summaries carry no live objects.
-        chunksize: Specs handed to a worker per task (parallel mode only).
-            Chunking amortizes per-point pickling/dispatch — each worker
-            process deserializes a whole chunk at once and reuses its
-            warm interpreter (imported registries, topology caches) across
-            the chunk instead of paying per-point setup.  Defaults to
-            :func:`default_chunksize`.
-        keep_observations: Carry each run's typed observation stream back
-            in ``result.observations`` (``raw`` stays dropped).  Summary
-            equality is unaffected — the field is excluded from
-            comparison — but memory grows with the event count, so this
-            is for journaling sweeps, not routine aggregation.  Shorthand
-            for ``options=RunOptions.observed()``.
+        workers: ``None`` or ``<= 1`` runs serially in-process; otherwise
+            the campaign fabric's supervised worker processes (no store,
+            no retries) fan the specs out.  Results are identical either
+            way — every run is seed-deterministic and summaries carry no
+            live objects.
         options: Per-point capture options (see
-            :class:`~repro.experiments.runner.RunOptions`); mutually
-            exclusive with ``keep_observations``.  ``options.journal`` is
-            rejected — a single journal path cannot hold many points;
-            journaling sweeps capture streams (``keep_raw``) and persist
-            them per point (the campaign store does exactly that).
+            :class:`~repro.experiments.runner.RunOptions`); ``None`` means
+            :meth:`RunOptions.summary`.  ``RunOptions.observed()`` carries
+            each run's typed observation stream back in
+            ``result.observations`` (``raw`` stays dropped) — for
+            journaling sweeps, since memory grows with the event count.
+            ``options.journal`` is rejected — a single journal path cannot
+            hold many points; journaling sweeps capture streams and
+            persist them per point (the campaign store does exactly that).
 
     Returns:
         The :class:`SweepResult`.
+
+    Raises:
+        ExperimentError: ``options.journal`` is set, or a point of a
+            parallel sweep failed (the message names the point and the
+            worker's ``Type: message``).  A serial sweep lets a point's
+            exception propagate unchanged.
     """
-    if options is not None:
-        if keep_observations:
-            raise ExperimentError(
-                "pass either options=RunOptions(...) or "
-                "keep_observations=True, not both"
-            )
-        if options.journal is not None:
-            raise ExperimentError(
-                "options.journal is per-run and cannot journal a sweep; "
-                "capture streams with RunOptions(keep_raw=True) and "
-                "persist them per point instead"
-            )
-    else:
-        options = (
-            RunOptions.observed() if keep_observations else RunOptions.summary()
+    if options is None:
+        options = RunOptions.summary()
+    elif options.journal is not None:
+        raise ExperimentError(
+            "options.journal is per-run and cannot journal a sweep; "
+            "capture streams with RunOptions(keep_raw=True) and "
+            "persist them per point instead"
         )
     spec_list = list(specs)
-    if workers is not None and workers > 1 and len(spec_list) > 1:
-        if chunksize is None:
-            chunksize = default_chunksize(len(spec_list), workers)
-        if chunksize < 1:
-            raise ExperimentError(f"chunksize must be >= 1, got {chunksize}")
-        jobs = [
-            (index, spec, options) for index, spec in enumerate(spec_list)
-        ]
-        ordered: list[ExperimentResult | None] = [None] * len(jobs)
-        # Workers fork from this process (the default start method on
-        # Linux): importing networkx once here, not in every worker, keeps
-        # the import out of each point's wall time.
-        import networkx  # noqa: F401
-
-        with multiprocessing.Pool(processes=workers) as pool:
-            for index, result in pool.imap_unordered(
-                _run_indexed, jobs, chunksize=chunksize
-            ):
-                ordered[index] = result
-        results = [r for r in ordered if r is not None]
-        if len(results) != len(jobs):  # pragma: no cover - defensive
-            raise ExperimentError("parallel sweep lost results")
-    else:
+    if workers is None or workers <= 1 or len(spec_list) <= 1:
         results = [_run_with_options(spec, options) for spec in spec_list]
-    return SweepResult(tuple(results))
+        return SweepResult(tuple(results))
+    # Imported here so importing this module does not load the fabric
+    # (and with it the campaign store) for serial sweeps.
+    from repro.campaigns.supervision import (
+        FabricConfig,
+        FabricJob,
+        run_supervised,
+    )
+
+    jobs = [
+        FabricJob(position=index, label=spec.name, spec=spec, options=options)
+        for index, spec in enumerate(spec_list)
+    ]
+    outcome = run_supervised(
+        jobs, None, FabricConfig(workers=workers, max_retries=0)
+    )
+    if outcome.failed:
+        index, error = min(outcome.failed.items())
+        raise ExperimentError(
+            f"sweep point {index} {spec_list[index].name!r} failed: {error}"
+            f" ({len(outcome.failed)} of {len(spec_list)} points failed)"
+        )
+    return SweepResult(
+        tuple(outcome.results[index] for index in range(len(spec_list)))
+    )

@@ -506,27 +506,32 @@ def bench_store_roundtrip(repeats: int = 3) -> BenchRecord:
 # ----------------------------------------------------------------------
 @_micro("supervisor_overhead")
 def bench_supervisor_overhead(repeats: int = 3) -> BenchRecord:
-    """Supervised fabric vs direct execution on the smoke ladder.
+    """Supervised fabric vs in-process execution on the smoke ladder.
 
-    Runs the same storeless smoke campaign twice — once through the
-    legacy direct path and once through the supervised worker pool — so
-    the fabric's fixed costs (worker spawn, pipe dispatch, per-point
+    Runs the storeless smoke campaign through the supervised worker pool
+    and its point specs through a serial in-process ``run_sweep``, so the
+    fabric's fixed costs (worker spawn, pipe dispatch, per-point
     checkpoint bookkeeping) are regression-guarded against the work they
     wrap.
     """
-    from repro.campaigns import FabricConfig, build_campaign, run_campaign
+    from repro.campaigns import (
+        FabricConfig,
+        build_campaign,
+        expand_points,
+        run_campaign,
+    )
+    from repro.experiments.sweep import run_sweep
 
     campaign = build_campaign("smoke", points=4)
+    specs = [point.spec for point in expand_points(campaign)]
     fabric = FabricConfig(workers=1, poll_interval=0.005)
 
     def once():
-        t_direct, direct_run = timed(
-            lambda: run_campaign(campaign, store=None, direct=True)
-        )
+        t_direct, direct_run = timed(lambda: run_sweep(specs))
         t_supervised, supervised_run = timed(
             lambda: run_campaign(campaign, store=None, fabric=fabric)
         )
-        assert direct_run.complete and supervised_run.complete
+        assert len(direct_run) == len(specs) and supervised_run.complete
         return (
             float(supervised_run.ran),
             {"direct": t_direct, "supervised": t_supervised},

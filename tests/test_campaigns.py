@@ -42,6 +42,7 @@ from repro.experiments import (
     ExperimentResult,
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
@@ -234,7 +235,7 @@ def test_shards_partition_the_points():
 # ----------------------------------------------------------------------
 def _one_result():
     spec = tiny_campaign().sweeps[0].expand()[0]
-    return run(spec, keep_raw=False)
+    return run(spec, RunOptions.summary())
 
 
 def test_store_round_trip(tmp_path):

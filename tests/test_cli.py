@@ -295,6 +295,17 @@ def test_sweep_unknown_substrate_exits_2(capsys):
     assert "sinr" in err  # the registered set is listed
 
 
+def test_sweep_parallel_point_error_exits_2(capsys):
+    status = main(
+        ["sweep", "--n", "10", "--side", "2.0", "--seeds", "1",
+         "--workers", "2", "--param", "topology.bogus=1,2"]
+    )
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("sweep error:")
+    assert "TypeError: " in err and "bogus" in err
+
+
 def test_sweep_on_the_sinr_substrate(capsys):
     status = main(
         ["sweep", "--n", "12", "--side", "2.0", "--k", "2",

@@ -26,6 +26,7 @@ from repro.experiments import (
     AlgorithmSpec,
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     Sweep,
     TopologySpec,
@@ -65,8 +66,8 @@ def test_same_spec_runs_identically_twice():
 
 
 def test_different_seeds_give_different_executions():
-    first = run(standard_spec(seed=1), keep_raw=False)
-    second = run(standard_spec(seed=2), keep_raw=False)
+    first = run(standard_spec(seed=1), RunOptions.summary())
+    second = run(standard_spec(seed=2), RunOptions.summary())
     assert first.completion_time != second.completion_time
 
 
@@ -103,7 +104,7 @@ def test_standard_substrate_supports_arrival_schedules():
         model=ModelSpec(fack=FACK, fprog=FPROG),
         seed=4,
     )
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     assert result.solved
     assert result.metrics["max_latency"] < result.completion_time
 
@@ -285,6 +286,20 @@ def test_arrival_rate_sweep_parallel_equals_serial():
     assert len(serial) == len(parallel) == 4
     assert serial.results == parallel.results
     assert all("latency_p95" in r.metrics for r in serial)
+
+
+def test_parallel_sweep_failure_names_the_point_and_error():
+    """A point that raises in a worker fails the whole parallel sweep,
+    naming the point and carrying the worker's ``Type: message``."""
+    specs = Sweep.grid(standard_spec(), axes={"topology.bogus": [1, 2]})
+    with pytest.raises(ExperimentError) as caught:
+        run_sweep(specs, workers=2)
+    text = str(caught.value)
+    assert specs[0].name in text
+    assert "TypeError: " in text and "bogus" in text
+    # Serially the original exception propagates unchanged.
+    with pytest.raises(TypeError, match="bogus"):
+        run_sweep(specs)
 
 
 def test_sweep_aggregation():

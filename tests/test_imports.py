@@ -77,6 +77,25 @@ def test_import_and_campaign_setup_load_no_heavy_modules(tmp_path):
     assert loaded["points"] > 0
 
 
+def test_experiments_import_leaves_the_fabric_unloaded(tmp_path):
+    # A parallel run_sweep imports the fabric when it fans out; a serial
+    # one never needs it.
+    loaded = run_fresh(
+        """
+        import json, sys
+        import repro.experiments
+
+        print(json.dumps([
+            name
+            for name in ("multiprocessing", "repro.campaigns.supervision")
+            if name in sys.modules
+        ]))
+        """,
+        tmp_path,
+    )
+    assert loaded == []
+
+
 def test_numpy_that_fails_to_import_reads_as_absent(tmp_path):
     # What a host without the "fast" extra looks like to the code: a numpy
     # on the path whose import raises.  Deciding availability without
@@ -160,20 +179,14 @@ def test_subpackages_resolve_after_bare_import(tmp_path):
 # ----------------------------------------------------------------------
 # Warm before fork
 # ----------------------------------------------------------------------
+#: Runs that start workers; every worker starts in
+#: ``supervision._spawn_workers``, whose ``Process.start`` is recorded.
 FORK_SITES = {
-    # The supervised fabric starts one Process per worker.
     "fabric": """
-        import repro.campaigns.supervision as supervision
         from repro.campaigns import (
             FabricConfig, ResultStore, build_campaign, run_campaign,
         )
 
-        class RecordingProcess(supervision.Process):
-            def start(self):
-                record()
-                super().start()
-
-        supervision.Process = RecordingProcess
         run = run_campaign(
             build_campaign("smoke", points=3),
             ResultStore("store"),
@@ -181,20 +194,12 @@ FORK_SITES = {
         )
         assert run.complete and run.ran == 3
         """,
-    # run_sweep fans out over a multiprocessing.Pool.
+    # A parallel run_sweep fans out over the same fabric workers.
     "sweep": """
-        import multiprocessing
         from repro.experiments import (
             AlgorithmSpec, ExperimentSpec, Sweep, TopologySpec, run_sweep,
         )
 
-        original_pool = multiprocessing.Pool
-
-        def recording_pool(*args, **kwargs):
-            record()
-            return original_pool(*args, **kwargs)
-
-        multiprocessing.Pool = recording_pool
         base = ExperimentSpec(
             topology=TopologySpec("line", {"n": 5}),
             algorithm=AlgorithmSpec("bmmb"),
@@ -211,12 +216,17 @@ def test_workers_fork_with_networkx_already_imported(site, tmp_path):
         """
         import json, sys
 
+        before = "networkx" in sys.modules
         seen = []
 
-        def record():
-            seen.append("networkx" in sys.modules)
+        import repro.campaigns.supervision as supervision
 
-        before = "networkx" in sys.modules
+        class RecordingProcess(supervision.Process):
+            def start(self):
+                seen.append("networkx" in sys.modules)
+                super().start()
+
+        supervision.Process = RecordingProcess
         """
         + FORK_SITES[site]
         + """

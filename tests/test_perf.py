@@ -10,7 +10,7 @@ from repro import perf
 from repro.errors import ExperimentError
 from repro.experiments.runner import materialize_topology
 from repro.experiments.specs import ExperimentSpec, TopologySpec
-from repro.experiments.sweep import Sweep, default_chunksize, run_sweep
+from repro.experiments.sweep import Sweep, run_sweep
 from repro.perf.harness import BenchRecord, measure
 from repro.perf.report import build_report, compare_reports, load_report, write_report
 from tests.golden.record import SCENARIOS
@@ -136,28 +136,14 @@ def test_macro_scenario_specs_build_and_run_small():
 
 
 # ----------------------------------------------------------------------
-# Sweep chunking
+# Parallel sweeps
 # ----------------------------------------------------------------------
-def test_default_chunksize_keeps_chunks_balanced():
-    assert default_chunksize(0, 4) == 1
-    assert default_chunksize(7, 4) == 1
-    assert default_chunksize(64, 4) == 4
-    assert default_chunksize(1000, 8) == 31
-
-
 def test_parallel_chunked_sweep_matches_serial():
     base = SCENARIOS["bmmb_uniform"]
     specs = Sweep.grid(base, axes={"workload.k": [2, 3]}, repeats=2)
     serial = run_sweep(specs, workers=None)
-    parallel = run_sweep(specs, workers=2, chunksize=3)
+    parallel = run_sweep(specs, workers=2)
     assert list(serial.results) == list(parallel.results)
-
-
-def test_run_sweep_rejects_bad_chunksize():
-    base = SCENARIOS["bmmb_uniform"]
-    specs = Sweep.seeds(base, 2)
-    with pytest.raises(ExperimentError):
-        run_sweep(specs, workers=2, chunksize=0)
 
 
 # ----------------------------------------------------------------------

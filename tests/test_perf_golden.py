@@ -36,7 +36,7 @@ def _load(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_scenario_bit_identical(name: str):
     spec = SCENARIOS[name]
-    fresh = canonical_json(fingerprint(run(spec, keep_raw=True)))
+    fresh = canonical_json(fingerprint(run(spec)))
     assert fresh == _load(name), (
         f"golden scenario {name!r} diverged from its recorded pre-PR trace"
     )

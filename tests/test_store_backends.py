@@ -426,7 +426,7 @@ def test_chaos_store_corrupt_through_http_converges(http_store, tmp_path):
 # ----------------------------------------------------------------------
 def _run_into(tmp_path, name) -> ResultStore:
     store = ResultStore(str(tmp_path / name))
-    assert run_campaign(tiny_campaign(), store, direct=True).complete
+    assert run_campaign(tiny_campaign(), store).complete
     return store
 
 

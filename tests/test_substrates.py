@@ -24,6 +24,7 @@ from repro.experiments import (
     ExperimentSpec,
     FaultSpec,
     ModelSpec,
+    RunOptions,
     SubstrateBase,
     Sweep,
     TopologySpec,
@@ -117,8 +118,8 @@ def test_run_resolves_substrates_from_the_registry_only():
 def test_substrate_matrix_solves_and_repeats(name: str):
     spec = smoke_spec(name)
     assert spec.substrate == name
-    first = run(spec, keep_raw=False)
-    second = run(spec, keep_raw=False)
+    first = run(spec, RunOptions.summary())
+    second = run(spec, RunOptions.summary())
     assert first.solved, f"substrate {name} smoke spec did not solve"
     assert first == second  # bitwise-deterministic summary
     assert first.metrics == second.metrics
@@ -165,7 +166,7 @@ def test_substrate_axis_parallel_sweep_equals_serial():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(SMOKE_SPEC_BUILDERS))
 def test_result_roundtrip_with_non_finite_metrics(name: str):
-    result = run(smoke_spec(name), keep_raw=False)
+    result = run(smoke_spec(name), RunOptions.summary())
     spiked = dataclasses.replace(
         result,
         completion_time=math.inf,
@@ -218,17 +219,17 @@ def test_observations_match_instance_trace_on_standard():
 
 
 def test_observations_dropped_on_summary_runs():
-    result = run(smoke_spec("standard"), keep_raw=False)
+    result = run(smoke_spec("standard"), RunOptions.summary())
     assert result.observations == ()
     assert result.raw is None
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_summary_runs_keep_metrics_identical(name: str):
-    """keep_raw=False drops the stream and raw handles on every builtin
+    """RunOptions.summary() drops the stream and raw handles on every builtin
     substrate without changing a single scalar metric."""
     full = run(smoke_spec(name, seed=5))
-    summary = run(smoke_spec(name, seed=5), keep_raw=False)
+    summary = run(smoke_spec(name, seed=5), RunOptions.summary())
     assert full.observations
     assert summary.observations == ()
     assert summary.raw is None
@@ -312,8 +313,8 @@ def test_sinr_runs_under_faults_and_reports_empirical_bounds():
         smoke_spec("sinr", seed=7),
         fault=FaultSpec("crash_random", {"fraction": 0.2}),
     )
-    first = run(spec, keep_raw=False)
-    second = run(spec, keep_raw=False)
+    first = run(spec, RunOptions.summary())
+    second = run(spec, RunOptions.summary())
     assert first == second
     assert "empirical_fack" in first.metrics
     assert "empirical_fprog" in first.metrics

@@ -21,6 +21,7 @@ from repro.campaigns import (
     build_campaign,
     collect_results,
     evaluate_checks,
+    expand_points,
     parse_chaos,
     run_campaign,
     write_artifacts,
@@ -39,6 +40,7 @@ from repro.experiments import (
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
+    run_sweep,
 )
 
 
@@ -160,15 +162,17 @@ def test_chaos_needing_more_retries_than_allowed_is_rejected():
 # Supervised execution
 # ----------------------------------------------------------------------
 def test_supervised_matches_direct_results(tmp_path):
+    """Two fabric workers store exactly what a serial in-process sweep does."""
     campaign = build_campaign("smoke", points=4)
     supervised = ResultStore(str(tmp_path / "sup"))
     direct = ResultStore(str(tmp_path / "dir"))
-    sup_run = run_campaign(campaign, supervised, workers=2)
-    dir_run = run_campaign(campaign, direct, direct=True)
-    assert sup_run.complete and dir_run.complete
-    assert sup_run.results == dir_run.results
-    assert sup_run.health is not None and not sup_run.health.anomalies()
-    assert dir_run.health is None
+    sup_run = run_campaign(campaign, supervised, fabric=FabricConfig(workers=2))
+    reference = run_sweep(point.spec for point in expand_points(campaign))
+    for result in reference:
+        direct.put(result)
+    assert sup_run.complete
+    assert sup_run.results == list(reference)
+    assert not sup_run.health.anomalies()
     assert _store_bytes(supervised.root) == _store_bytes(direct.root)
 
 

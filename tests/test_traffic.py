@@ -11,6 +11,7 @@ from repro.experiments import (
     AlgorithmSpec,
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
@@ -300,7 +301,7 @@ def test_delivered_cap_via_spec_params():
         substrate=spec.substrate,
         seed=spec.seed,
     )
-    base, bounded = run(spec, keep_raw=False), run(capped, keep_raw=False)
+    base, bounded = run(spec, RunOptions.summary()), run(capped, RunOptions.summary())
     assert bounded.solved == base.solved
     assert bounded.metrics == base.metrics
 
@@ -310,7 +311,7 @@ def test_delivered_cap_via_spec_params():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("substrate", ["standard", "radio", "sinr"])
 def test_open_arrivals_emit_steady_gauges(substrate):
-    result = run(_open_spec(substrate), keep_raw=False)
+    result = run(_open_spec(substrate), RunOptions.summary())
     assert result.solved
     for gauge in STEADY_GAUGES:
         assert gauge in result.metrics, gauge
@@ -335,13 +336,13 @@ def test_time_zero_workloads_report_no_steady_gauges():
         substrate="standard",
         seed=spec.seed,
     )
-    result = run(classic, keep_raw=False)
+    result = run(classic, RunOptions.summary())
     for gauge in STEADY_GAUGES:
         assert gauge not in result.metrics
 
 
 def test_windowed_run_bounds_observation_memory():
-    result = run(_open_spec(count=30), window=50.0, max_windows=6)
+    result = run(_open_spec(count=30), RunOptions(window=50.0, max_windows=6))
     assert result.raw is None
     assert result.observations == ()
     metrics = result.metrics
@@ -352,8 +353,8 @@ def test_windowed_run_bounds_observation_memory():
 
 def test_windowed_run_matches_summary_run_gauges():
     spec = _open_spec(count=20)
-    summary = run(spec, keep_raw=False)
-    windowed = run(spec, window=25.0, max_windows=4)
+    summary = run(spec, RunOptions.summary())
+    windowed = run(spec, RunOptions(window=25.0, max_windows=4))
     for name, value in summary.metrics.items():
         assert windowed.metrics[name] == value, name
 
@@ -370,7 +371,7 @@ def test_arrival_rejection_names_capable_substrates():
         seed=1,
     )
     with pytest.raises(ExperimentError) as excinfo:
-        run(spec, keep_raw=False)
+        run(spec, RunOptions.summary())
     message = str(excinfo.value)
     assert "rounds" in message
     assert "open_arrivals" in message
@@ -462,10 +463,10 @@ def test_window_series_validation():
 
 
 def test_open_arrival_runs_surface_window_series():
-    result = run(_open_spec(), keep_raw=False)
+    result = run(_open_spec(), RunOptions.summary())
     assert set(result.series) == {"window_latency_mean", "window_throughput"}
     assert result.series["window_throughput"], "throughput series empty"
-    again = run(_open_spec(), keep_raw=False)
+    again = run(_open_spec(), RunOptions.summary())
     assert again.series == result.series  # deterministic
 
 def test_one_shot_runs_have_no_series():
@@ -479,4 +480,4 @@ def test_one_shot_runs_have_no_series():
         substrate="standard",
         seed=spec.seed,
     )
-    assert run(classic, keep_raw=False).series == {}
+    assert run(classic, RunOptions.summary()).series == {}
