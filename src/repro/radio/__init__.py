@@ -28,9 +28,10 @@ the paper's footnote 2 motivates it:
   Holzer & Lynch.  :func:`sinr_mac_layer` plugs it under the unchanged
   :class:`RadioMACLayer`, backing the ``sinr`` experiment substrate.
 * :mod:`~repro.radio.engines` — the :data:`RECEPTION_ENGINES` registry of
-  interchangeable slot-reception implementations: ``reference`` (the
-  historical per-node loops) and ``vectorized`` (numpy-batched; identical
-  receptions, selected via ``ModelSpec.engine``).
+  interchangeable slot-reception implementations: ``reference`` (pure
+  python; a transmitter-driven collision pass) and ``vectorized``
+  (numpy-batched; identical receptions, selected via
+  ``ModelSpec.engine``).
 """
 
 from repro.radio.decay import DecaySchedule

@@ -25,9 +25,12 @@ class DecaySchedule:
 
     The schedule runs ``phases`` decay phases, each of ``depth + 1`` slots;
     in slot ``j`` of a phase the sender transmits with probability
-    ``2^{-j}``.  When all phases are exhausted the schedule is *complete* —
-    the point at which a real MAC would hand the sender its next packet,
-    i.e. the abstract MAC layer's acknowledgment (footnote 1).
+    ``2^{-j}``.  The schedule occupies :attr:`total_steps` slots from its
+    start; its last slot is the point at which a real MAC would hand the
+    sender its next packet, i.e. the abstract MAC layer's acknowledgment
+    (footnote 1).  :meth:`next_transmission` yields the steps in which the
+    sender transmits, so a caller can book them ahead instead of polling
+    every slot.
 
     Args:
         depth: ``L`` = ceil(log2(max contention)) — the deepest probability
@@ -53,12 +56,12 @@ class DecaySchedule:
 
     @property
     def complete(self) -> bool:
-        """True once every phase has run (the local 'ack' point)."""
+        """True once every step's coin has been drawn."""
         return self._step >= self._total_steps
 
     @property
     def steps_taken(self) -> int:
-        """Slots consumed so far."""
+        """Steps whose coins have been drawn so far."""
         return self._step
 
     @property
@@ -66,13 +69,28 @@ class DecaySchedule:
         """Slots the full schedule occupies (the deterministic ack delay)."""
         return self._total_steps
 
-    def should_transmit(self) -> bool:
-        """Advance one slot; return whether the sender transmits in it."""
-        if self._step >= self._total_steps:
-            return False
-        within_phase = self._step % (self.depth + 1)
-        self._step += 1
-        return self._random() < 2.0 ** (-within_phase)
+    def next_transmission(self) -> int | None:
+        """Advance to the next step whose coin says transmit; return it.
+
+        Draws the schedule's per-step coins in step order (step ``j`` of a
+        phase transmits iff its coin is below ``2^{-j}``) until one
+        succeeds, and returns that step's index.  Returns ``None`` once
+        the schedule is exhausted.  The coins come from this schedule's
+        own stream, so drawing them ahead of the slots they belong to
+        changes nothing another component sees.
+        """
+        period = self.depth + 1
+        step = self._step
+        total = self._total_steps
+        random_f = self._random
+        while step < total:
+            within_phase = step % period
+            step += 1
+            if random_f() < 2.0 ** (-within_phase):
+                self._step = step
+                return step - 1
+        self._step = step
+        return None
 
 
 def phase_probability(step: int, depth: int) -> float:

@@ -4,9 +4,11 @@ The slot *semantics* live in :mod:`repro.radio.slotted` (binary collision)
 and :mod:`repro.radio.sinr` (SINR threshold).  A *reception engine* is an
 interchangeable implementation strategy for those semantics:
 
-* ``reference`` — the historical per-node python loops, extracted behind
-  this interface verbatim.  Always available; the golden fixtures gate it
-  byte-for-byte.
+* ``reference`` — pure python, always available.  The collision pass is
+  driven by the slot's transmitters (each pushes itself to its listening
+  G'-neighbors), so a slot costs O(Σ transmitter degree), not a walk over
+  every node; the SINR pass decodes listener by listener.  The golden
+  fixtures gate it byte-for-byte.
 * ``vectorized`` — numpy-batched: one array pass per slot (CSR adjacency +
   bucketed collision counts for the collision radio; a chunked
   listener × sender gain matrix with a single interference
@@ -190,40 +192,55 @@ def resolve_engine(name: str) -> "ReceptionEngine":
 
 
 # ----------------------------------------------------------------------
-# Reference passes (the historical loops, verbatim)
+# Reference passes (pure python)
 # ----------------------------------------------------------------------
 def _slotted_reference_pass(network) -> SlotPass:
-    """The per-node collision loop exactly as ``SlottedRadioNetwork``
-    ran it before engines existed: same iteration order, same coin draws.
+    """The collision pass in pure python, driven by the slot's transmitters.
+
+    Each transmitter pushes itself onto the hear-list of every listening
+    G'-neighbor, senders ascending; then each listener that heard anyone,
+    ascending, draws one fading coin per grey sender on its list in list
+    order.  That is listeners ascending, senders ascending — the coin
+    order every engine keeps — at a cost of O(Σ transmitter degree)
+    instead of a walk over every node and its neighbor list.
     """
     dual = network.dual
+    gprime_sorted = dual.gprime_neighbors_sorted
+    reliable_adj = dual.reliable_adjacency
 
     def run(transmissions: dict) -> tuple[dict, int]:
         engine = network.fault_engine
         random_f = network._rng.raw.random  # bernoulli(p) == random_f() < p
         p_live = network.p_unreliable_live
+        heard: dict[NodeId, list[NodeId]] = {}
+        for u in sorted(transmissions):
+            for v in gprime_sorted(u):
+                if v in transmissions:
+                    continue  # transmitters cannot listen
+                senders = heard.get(v)
+                if senders is None:
+                    heard[v] = [u]
+                else:
+                    senders.append(u)
         receptions: dict[NodeId, tuple[NodeId, Any]] = {}
         collisions = 0
-        for v in dual.nodes_sorted:
-            if v in transmissions:
-                continue  # transmitters cannot listen
+        for v in sorted(heard):
             if engine is not None and not engine.is_active(v):
                 continue  # dead nodes hear nothing
-            live_senders = []
-            reliable_set = dual.reliable_neighbors(v)
-            for u in dual.gprime_neighbors_sorted(v):
-                if u not in transmissions:
-                    continue
+            reliable_set = reliable_adj[v]
+            live = 0
+            sender = None
+            for u in heard[v]:
                 if engine is not None:
                     reliable = engine.is_reliable_edge(u, v)
                 else:
                     reliable = u in reliable_set
                 if reliable or random_f() < p_live:
-                    live_senders.append(u)
-            if len(live_senders) == 1:
-                sender = live_senders[0]
+                    live += 1
+                    sender = u
+            if live == 1:
                 receptions[v] = (sender, transmissions[sender])
-            elif len(live_senders) > 1:
+            elif live > 1:
                 collisions += 1
         return receptions, collisions
 
@@ -577,11 +594,12 @@ class ReceptionEngine:
 
 
 class ReferenceEngine(ReceptionEngine):
-    """Per-node python loops — the historical semantics, always available."""
+    """Pure-python slot reception — the semantics of record, always available."""
 
     name = "reference"
     description = (
-        "per-node python loops (always available; golden-fixture gated)"
+        "pure python: transmitter-driven collision pass, per-listener SINR "
+        "decode (always available; golden-fixture gated)"
     )
     requires = ""
 

@@ -18,6 +18,20 @@ collision radio of :mod:`repro.radio.slotted`:
   reliable neighbors holds only with high probability — the adapter
   reports the realized success rate.
 
+The adapter does work only for the senders that act in a slot.  Each
+schedule run is an ``_ActiveBroadcast`` with a start slot (the radio's
+slot counter when ``bcast`` or an adaptive re-arm made it).  The adapter
+books it in two slot-keyed calendars: ``_transmit_at`` holds the slot of
+its next transmission (:meth:`DecaySchedule.next_transmission` draws that
+schedule's coins up to the next success), and ``_finish_at`` holds its
+last slot, ``start + total_steps - 1``.  A slot pops its own entries of
+each, senders ascending, and a transmitter books its next transmission
+as it is popped.  Entries whose broadcast is no longer the sender's
+active one (crashed, acknowledged, re-armed) are skipped.  Booking ahead
+draws a schedule's coins early, which is safe: each schedule draws from
+its own child stream, through ``raw``, so no other component's draws
+move and a crashed sender's unused coins affect nothing.
+
 The point of the adapter is :func:`empirical_bounds`: it extracts from a
 finished execution the smallest ``Fack`` and ``Fprog`` for which the
 execution satisfies the abstract MAC layer's timing axioms.  Benchmarks use
@@ -28,8 +42,9 @@ it to regenerate footnote 2's claim — under contention κ, the realized
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import MACError, WellFormednessError
@@ -88,13 +103,21 @@ class _RadioBinding:
 
 
 class _ActiveBroadcast:
-    """A sender's in-flight instance plus its decay schedule."""
+    """A sender's in-flight instance plus one decay schedule run.
 
-    __slots__ = ("instance", "schedule")
+    ``start`` is the slot of the schedule's step 0; an adaptive re-arm
+    makes a new object for the same instance, so a calendar entry names
+    exactly one schedule run.
+    """
 
-    def __init__(self, instance: MessageInstance, schedule: DecaySchedule):
+    __slots__ = ("instance", "schedule", "start")
+
+    def __init__(
+        self, instance: MessageInstance, schedule: DecaySchedule, start: int
+    ):
         self.instance = instance
         self.schedule = schedule
+        self.start = start
 
 
 class RadioMACLayer:
@@ -186,6 +209,11 @@ class RadioMACLayer:
         self.instances = InstanceLog()
         self._bindings: dict[NodeId, _RadioBinding] = {}
         self._active: dict[NodeId, _ActiveBroadcast] = {}
+        # Slot -> broadcasts that transmit / finish their schedule in that
+        # slot.  Entries whose broadcast is no longer _active[sender]
+        # (crashed, acked, re-armed) are skipped when their slot comes.
+        self._transmit_at: dict[int, list[tuple[NodeId, _ActiveBroadcast]]] = {}
+        self._finish_at: dict[int, list[tuple[NodeId, _ActiveBroadcast]]] = {}
         self._arrivals: dict[int, list[tuple[NodeId, Message]]] = {}
         if delivered_cap is not None:
             from repro.mac.dedup import DeliveredRing
@@ -203,7 +231,7 @@ class RadioMACLayer:
         """Attach an automaton to a node."""
         if node_id in self._bindings:
             raise MACError(f"node {node_id} registered twice")
-        if not self.dual.reliable_graph.has_node(node_id):
+        if node_id not in self.dual.reliable_adjacency:
             raise MACError(f"node {node_id} is not in the topology")
         self._bindings[node_id] = _RadioBinding(self, node_id, automaton)
 
@@ -235,11 +263,24 @@ class RadioMACLayer:
                 f"node {sender} bcast while a broadcast is in flight"
             )
         instance = self.instances.new_instance(sender, payload, self.now)
-        schedule = DecaySchedule(
-            self.depth, self.phases, self._rng.child(f"decay-{instance.iid}")
-        )
-        self._active[sender] = _ActiveBroadcast(instance, schedule)
+        self._arm(sender, instance, f"decay-{instance.iid}")
         return instance
+
+    def _arm(self, sender: NodeId, instance: MessageInstance, stream: str) -> None:
+        """Start a decay schedule for ``instance`` at the current slot and
+        book its first transmission and its finishing slot."""
+        schedule = DecaySchedule(self.depth, self.phases, self._rng.child(stream))
+        active = _ActiveBroadcast(instance, schedule, self.radio.slot)
+        self._active[sender] = active
+        self._book_transmission(sender, active)
+        finish = active.start + schedule.total_steps - 1
+        self._finish_at.setdefault(finish, []).append((sender, active))
+
+    def _book_transmission(self, sender: NodeId, active: _ActiveBroadcast) -> None:
+        step = active.schedule.next_transmission()
+        if step is not None:
+            slot = active.start + step
+            self._transmit_at.setdefault(slot, []).append((sender, active))
 
     # ------------------------------------------------------------------
     # Execution
@@ -333,11 +374,24 @@ class RadioMACLayer:
             binding = self._bindings[node_id]
             binding.automaton.on_arrive(binding, message)
 
+    def _due(
+        self, calendar: dict[int, list[tuple[NodeId, _ActiveBroadcast]]], slot: int
+    ) -> list[tuple[NodeId, _ActiveBroadcast]]:
+        """``slot``'s live calendar entries, senders ascending."""
+        entries = calendar.pop(slot, None)
+        if not entries:
+            return []
+        active = self._active
+        due = [e for e in entries if active.get(e[0]) is e[1]]
+        due.sort(key=itemgetter(0))
+        return due
+
     def _run_one_slot(self) -> None:
+        slot = self.radio.slot
         transmissions = {}
-        for sender in sorted(self._active):
-            if self._active[sender].schedule.should_transmit():
-                transmissions[sender] = self._active[sender].instance
+        for sender, active in self._due(self._transmit_at, slot):
+            transmissions[sender] = active.instance
+            self._book_transmission(sender, active)
         receptions = self.radio.run_slot(transmissions)
         slot_end = self.now  # run_slot advanced the slot counter
         for listener in sorted(receptions):
@@ -347,7 +401,7 @@ class RadioMACLayer:
             instance.rcv_times[listener] = slot_end
             binding = self._bindings[listener]
             binding.automaton.on_receive(binding, instance.payload, sender)
-        self._complete_finished(slot_end)
+        self._complete_finished(slot, slot_end)
 
     def _required_receivers(self, sender: NodeId) -> list[NodeId]:
         """Reliable neighbors the sender still owes a delivery.
@@ -360,11 +414,8 @@ class RadioMACLayer:
             return list(neighbors)
         return [v for v in neighbors if self.faults.is_active(v)]
 
-    def _complete_finished(self, slot_end: Time) -> None:
-        for sender in sorted(self._active):
-            active = self._active[sender]
-            if not active.schedule.complete:
-                continue
+    def _complete_finished(self, slot: int, slot_end: Time) -> None:
+        for sender, active in self._due(self._finish_at, slot):
             missing = [
                 v
                 for v in self._required_receivers(sender)
@@ -372,12 +423,10 @@ class RadioMACLayer:
             ]
             if missing and self.adaptive:
                 # Keep going: append another block of decay phases.
-                active.schedule = DecaySchedule(
-                    self.depth,
-                    self.phases,
-                    self._rng.child(
-                        f"decay-{active.instance.iid}-extra-{int(slot_end)}"
-                    ),
+                self._arm(
+                    sender,
+                    active.instance,
+                    f"decay-{active.instance.iid}-extra-{int(slot_end)}",
                 )
                 continue
             self._required_deliveries += len(self._required_receivers(sender))
@@ -472,9 +521,8 @@ def minimal_progress_bound(instances: InstanceLog, dual: DualGraph) -> Time:
                 terms, suffix_min = [], [math.inf]
             else:
                 terms, suffix_min = index
-            starts = [begin] + [
-                term + 1e-9 for term in terms if begin < term < end
-            ]
+            window = terms[bisect_right(terms, begin) : bisect_left(terms, end)]
+            starts = [begin] + [term + 1e-9 for term in window]
             for s in starts:
                 if s >= end:
                     continue

@@ -123,8 +123,9 @@ class SINRRadioNetwork:
         ``transmissions`` maps each transmitting node to its packet; all
         other nodes listen.
         """
+        nodes = self.dual.reliable_adjacency
         for sender in transmissions:
-            if not self.dual.reliable_graph.has_node(sender):
+            if sender not in nodes:
                 raise MACError(f"unknown transmitter {sender}")
         if self._slot_pass is None:
             self._slot_pass = self.engine.sinr_pass(self)

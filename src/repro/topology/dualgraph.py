@@ -192,6 +192,15 @@ class DualGraph:
         """The full graph ``G'`` (do not mutate)."""
         return self._gp
 
+    @property
+    def reliable_adjacency(self) -> Mapping[NodeId, frozenset[NodeId]]:
+        """``v -> reliable_neighbors(v)`` for every vertex (do not mutate).
+
+        Its keys are the vertex set, so ``v in dual.reliable_adjacency``
+        is the O(1) vertex test hot paths use.
+        """
+        return self._g_adj
+
     def reliable_neighbors(self, v: NodeId) -> frozenset[NodeId]:
         """Neighbors of ``v`` in ``G`` (links the MAC always delivers on)."""
         return self._g_adj[v]

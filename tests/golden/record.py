@@ -102,7 +102,7 @@ def fingerprint(result: ExperimentResult) -> dict:
             for (node, mid), rnd in raw.delivery_rounds.items()
         )
         fp["total_rounds"] = raw.total_rounds
-    elif substrate == "radio":
+    elif substrate in ("radio", "sinr"):
         fp["deliveries"] = _deliveries_digest(raw.layer.deliveries)
         fp["slots"] = raw.slots
         fp["instances"] = _instances_digest(raw.layer.instances)
@@ -216,6 +216,48 @@ SCENARIOS: dict[str, ExperimentSpec] = {
         model=ModelSpec(params={"max_slots": 200_000}),
         substrate="radio",
         seed=23,
+    ),
+    "radio_crash_recover": ExperimentSpec(
+        name="golden-radio-crash-recover",
+        topology=TopologySpec("star", {"n": 12}),
+        algorithm=AlgorithmSpec("bmmb"),
+        workload=WorkloadSpec("one_each", {"nodes": list(range(1, 12))}),
+        fault=FaultSpec(
+            "crash_random",
+            {"fraction": 0.3, "horizon": 200.0, "recover_after": 15.0},
+        ),
+        model=ModelSpec(params={"max_slots": 200_000}),
+        substrate="radio",
+        seed=29,
+    ),
+    "radio_flap": ExperimentSpec(
+        name="golden-radio-flap",
+        topology=_rgg(16, 2.2),
+        algorithm=AlgorithmSpec("bmmb"),
+        workload=WorkloadSpec("one_each", {"k": 3}),
+        fault=FaultSpec("flap_random"),
+        model=ModelSpec(params={"max_slots": 200_000}),
+        substrate="radio",
+        seed=43,
+    ),
+    "radio_churn": ExperimentSpec(
+        name="golden-radio-churn",
+        topology=_rgg(16, 2.2),
+        algorithm=AlgorithmSpec("bmmb"),
+        workload=WorkloadSpec("one_each", {"k": 3}),
+        fault=FaultSpec("churn_poisson", {"leave_fraction": 0.25}),
+        model=ModelSpec(params={"max_slots": 200_000}),
+        substrate="radio",
+        seed=53,
+    ),
+    "sinr_k2": ExperimentSpec(
+        name="golden-sinr",
+        topology=_rgg(16, 2.2),
+        algorithm=AlgorithmSpec("bmmb"),
+        workload=WorkloadSpec("one_each", {"k": 2}),
+        model=ModelSpec(params={"max_slots": 200_000}),
+        substrate="sinr",
+        seed=41,
     ),
     "leader_protocol": ExperimentSpec(
         name="golden-leader",

@@ -1,7 +1,7 @@
 """Reception engines: registry, selection, and reference/vectorized parity.
 
 Acceptance bar for the engine redesign: the ``vectorized`` engine
-produces *identical* receptions to the historical per-node loops —
+produces *identical* receptions to the pure-python reference engine —
 same receptions, same slot stats, same RNG draws — across every
 radio-family substrate, fault scenario, and seed in the matrix below;
 numpy stays strictly optional (``auto`` falls back silently, explicit

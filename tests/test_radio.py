@@ -81,29 +81,39 @@ def test_slot_counter_and_stats():
 # ----------------------------------------------------------------------
 # Decay schedules
 # ----------------------------------------------------------------------
+def _transmit_steps(sched: DecaySchedule) -> list[int]:
+    """Every step a schedule transmits in, drained to exhaustion."""
+    steps = []
+    step = sched.next_transmission()
+    while step is not None:
+        steps.append(step)
+        step = sched.next_transmission()
+    return steps
+
+
 def test_decay_schedule_length_is_phases_times_depth_plus_one():
     sched = DecaySchedule(depth=3, phases=2, rng=RandomSource(1))
-    steps = 0
-    while not sched.complete:
-        sched.should_transmit()
-        steps += 1
-    assert steps == 2 * 4
+    steps = _transmit_steps(sched)
+    assert sched.complete
+    assert sched.steps_taken == 2 * 4
     assert sched.total_steps == 8
+    assert steps == sorted(set(steps))
+    assert all(0 <= step < 8 for step in steps)
 
 
 def test_decay_first_slot_of_each_phase_always_transmits():
     # Slot j transmits with probability 2^-j, so j=0 is certain.
     sched = DecaySchedule(depth=2, phases=3, rng=RandomSource(1))
-    transmissions = [sched.should_transmit() for _ in range(sched.total_steps)]
+    steps = _transmit_steps(sched)
     for phase in range(3):
-        assert transmissions[phase * 3] is True
+        assert phase * 3 in steps
 
 
 def test_decay_complete_schedule_never_transmits():
     sched = DecaySchedule(depth=1, phases=1, rng=RandomSource(1))
-    while not sched.complete:
-        sched.should_transmit()
-    assert sched.should_transmit() is False
+    _transmit_steps(sched)
+    assert sched.complete
+    assert sched.next_transmission() is None
 
 
 def test_decay_parameter_validation():
