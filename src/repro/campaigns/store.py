@@ -27,7 +27,6 @@ historical layout, unchanged) or an ``http(s)://`` store served by
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from typing import Any
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.specs import ExperimentSpec
-from repro.runtime.journal import Journal, dump_journal, loads_journal
+from repro.runtime.journal import Journal, dump_journal, loads_journal, unframe_journal
 from repro.runtime.observations import Observation
 from repro.store.backend import StoreBackend, StoreIntegrityError, open_backend
 
@@ -230,10 +229,8 @@ class ResultStore:
             return None
         where = self.journal_path_for(key)
         try:
-            if raw[:2] == b"\x1f\x8b":
-                raw = gzip.decompress(raw)
-            journal = loads_journal(raw.decode("utf-8"), where=where)
-        except (ExperimentError, OSError, EOFError, UnicodeDecodeError):
+            journal = loads_journal(unframe_journal(raw, where), where=where)
+        except ExperimentError:
             self.stats.corrupt += 1
             return None
         if journal.meta.get("spec_key") != key:

@@ -40,8 +40,7 @@ from repro.experiments.registries import Registry
 from repro.experiments.runner import materialize_topology
 from repro.experiments.specs import ExperimentSpec
 from repro.mac.axioms import check_axioms
-from repro.runtime.observations import Observation
-from repro.runtime.trace import from_observations, to_instance_log
+from repro.runtime.observations import Observation, instance_log
 
 TRACE_CHECKS = Registry("trace check")
 
@@ -122,18 +121,23 @@ def _mac_axioms(
 ) -> list[str]:
     """Re-certify the journaled MAC events against the layer axioms.
 
-    Rebuilds the instance log from the stream and runs the full
-    :func:`~repro.mac.axioms.check_axioms` certification.  Defaults are
+    Rebuilds the instance log from the stream
+    (:func:`~repro.runtime.observations.instance_log`) and runs the full
+    :func:`~repro.mac.axioms.check_axioms` certification; a stream the
+    log cannot represent (an orphan ``rcv``, an instance-id gap, a
+    duplicated ``rcv``) fails with the rebuild's reason.  Defaults are
     journal-appropriate: pending instances are allowed (faulted and
     budget-capped runs truncate legitimately) and the progress bound is
     skipped (it needs fault-plan context a journal of a faulted run does
     not carry); tighten with ``allow_pending=False`` /
     ``check_progress=True`` on clean campaigns.
     """
-    events = from_observations(observations)
-    if not events:
+    try:
+        log = instance_log(observations)
+    except ExperimentError as exc:
+        return [str(exc)]
+    if not len(log):
         return ["journal carries no MAC events to certify"]
-    log = to_instance_log(events)
     dual = materialize_topology(spec)
     report = check_axioms(
         log,

@@ -716,7 +716,7 @@ def cmd_trace_dump(args: argparse.Namespace) -> int:
 
 def cmd_trace_summary(args: argparse.Namespace) -> int:
     from repro.runtime.journal import read_journal
-    from repro.runtime.trace import from_observations, summarize_trace
+    from repro.runtime.observations import MAC_KINDS, Observation
 
     rows = []
     for path in args.journals:
@@ -731,15 +731,25 @@ def cmd_trace_summary(args: argparse.Namespace) -> int:
                 f"{kind}:{count}" for kind, count in sorted(kind_counts.items())
             ),
         }
-        mac_events = from_observations(journal.observations)
-        if mac_events:
-            summary = summarize_trace(mac_events)
+        mac = sorted(
+            (obs for obs in journal.observations if obs.kind in MAC_KINDS),
+            key=Observation.sort_key,
+        )
+        if mac:
+            bcast_times = {obs.ref: obs.time for obs in mac if obs.kind == "bcast"}
+            latencies = [
+                obs.time - bcast_times[obs.ref]
+                for obs in mac
+                if obs.kind == "ack" and obs.ref in bcast_times
+            ]
             row.update(
                 {
-                    "instances": summary.instances,
-                    "aborted": summary.aborted,
-                    "span": summary.last_time - summary.first_time,
-                    "mean ack latency": summary.mean_ack_latency,
+                    "instances": len({obs.ref for obs in mac}),
+                    "aborted": kind_counts.get("abort", 0),
+                    "span": mac[-1].time - mac[0].time,
+                    "mean ack latency": (
+                        sum(latencies) / len(latencies) if latencies else 0.0
+                    ),
                 }
             )
         rows.append(row)

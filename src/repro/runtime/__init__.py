@@ -8,8 +8,10 @@ instance log (for axiom certification).  FMMB has its own entry point in
 
 :mod:`~repro.runtime.observations` defines the typed observation stream
 (:class:`Observation`/:class:`Probe`) every execution substrate emits
-through; :mod:`~repro.runtime.trace` converts its MAC-event subset into
-archivable chronological traces.
+through; :mod:`~repro.runtime.journal` persists it as gzip-framed
+journals, the one trace file format, and
+:func:`~repro.runtime.observations.instance_log` rebuilds the MAC
+instance log from its MAC-event subset.
 """
 
 from repro.runtime.observations import OBSERVATION_KINDS, Observation, Probe

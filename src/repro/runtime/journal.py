@@ -22,9 +22,11 @@ Format (version :data:`JOURNAL_FORMAT`):
   by default — wall-clock and heap gauges are machine-dependent and
   would break cross-machine byte identity.
 
-Readers sniff the gzip magic, so a hand-written plain-text ``.jsonl``
-journal (useful for synthesizing violation fixtures in tests) loads
-through the same functions.
+Readers sniff the gzip magic in one place, :func:`unframe_journal`, so a
+hand-written plain-text ``.jsonl`` journal (useful for synthesizing
+violation fixtures in tests) loads through the same functions, and a
+corrupt frame raises :class:`~repro.errors.ExperimentError` like any
+other malformed journal.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import gzip
 import io
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -166,17 +169,21 @@ def write_journal(
     return len(kept)
 
 
-def _journal_text(path: str | Path) -> str:
-    raw = Path(path).read_bytes()
+def unframe_journal(raw: bytes, where: str) -> str:
+    """Journal text from stored bytes, gzip-framed or plain JSONL.
+
+    A broken gzip frame or non-UTF-8 text raises
+    :class:`~repro.errors.ExperimentError` naming ``where``.
+    """
     if raw[:2] == _GZIP_MAGIC:
         try:
             raw = gzip.decompress(raw)
-        except (OSError, EOFError) as exc:
-            raise ExperimentError(f"{path}: corrupt journal frame: {exc}") from exc
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ExperimentError(f"{where}: corrupt journal frame: {exc}") from exc
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ExperimentError(f"{path}: journal is not UTF-8: {exc}") from exc
+        raise ExperimentError(f"{where}: journal is not UTF-8: {exc}") from exc
 
 
 def _header_int(header: dict, field: str, where: str) -> int:
@@ -278,9 +285,7 @@ def loads_journal(text: str, where: str = "<journal>") -> Journal:
 
 def read_journal(path: str | Path) -> Journal:
     """Load a journal file (gzip-framed or plain JSONL)."""
-    return loads_journal(_journal_text(path), where=str(path))
-
-
-def iter_journal(path: str | Path) -> Iterator[Observation]:
-    """Iterate a journal's observations (loads eagerly; order preserved)."""
-    return iter(read_journal(path).observations)
+    where = str(path)
+    return loads_journal(
+        unframe_journal(Path(path).read_bytes(), where), where=where
+    )

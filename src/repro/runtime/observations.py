@@ -17,9 +17,10 @@ Consumers:
 * :class:`~repro.experiments.ExperimentResult` carries the stream in its
   ``observations`` field (``keep_raw=True`` runs only) and its ``metrics``
   are exactly the probe's gauges;
-* :func:`repro.runtime.trace.from_observations` converts the MAC-event
-  subset into :class:`~repro.runtime.trace.TraceEvent` records for the
-  chronological trace tooling;
+* :func:`instance_log` rebuilds the MAC instance log from the MAC-event
+  subset, so a journaled run is re-certified by the axiom checker
+  (:mod:`repro.campaigns.trace_checks`) and summarized by
+  ``repro trace summary``;
 * campaign checks read the gauges by name (``metric:<gauge>`` series).
 
 High-frequency clocks are summarized, not enumerated: the ``round`` and
@@ -51,7 +52,7 @@ from repro.ids import NodeId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.engine import FaultEngine
-    from repro.mac.messages import MessageInstance
+    from repro.mac.messages import InstanceLog, MessageInstance
 
 #: Every observation kind a substrate may emit, in canonical tie-break
 #: order (events at equal times sort by this order, then key, then node).
@@ -75,6 +76,10 @@ OBSERVATION_KINDS: tuple[str, ...] = (
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(OBSERVATION_KINDS)}
 
+#: The MAC-event kinds :meth:`Probe.observe_instances` emits: one
+#: ``bcast`` per instance, its ``rcv`` events, and its terminator.
+MAC_KINDS: tuple[str, ...] = ("bcast", "rcv", "ack", "abort")
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -88,8 +93,8 @@ class Observation:
             otherwise); ``None`` for node-less markers like ``round``.
         key: A stable label — message id for ``deliver``/``arrival``,
             payload tag for MAC events, ``"u-v"`` for link transitions.
-        ref: Message-instance id for MAC events (``-1`` otherwise), so the
-            stream converts losslessly to trace events.
+        ref: Message-instance id for MAC events (``-1`` otherwise), so
+            :func:`instance_log` rebuilds the instance log losslessly.
         value: Magnitude; ``1.0`` for point events, the aggregate count
             for ``round``/``slot`` markers.
     """
@@ -119,6 +124,63 @@ def _payload_tag(payload: object) -> str:
     if mid is not None:
         return str(mid)
     return str(payload)
+
+
+def instance_log(observations: Iterable[Observation]) -> "InstanceLog":
+    """Rebuild the MAC instance log a stream's MAC events came from.
+
+    The inverse of :meth:`Probe.observe_instances`: only the
+    :data:`MAC_KINDS` are read, in :meth:`Observation.sort_key` order,
+    and payloads come back as their ``key`` tag (the axiom checker treats
+    payloads opaquely).  Any stream a substrate emitted rebuilds; one
+    the log cannot represent raises
+    :class:`~repro.errors.ExperimentError` — instance ids that are not
+    contiguous from 0, an instance without exactly one ``bcast``, a MAC
+    event without a node, or a second ``rcv`` at one node (or a second
+    ``ack`` or ``abort``) for one instance.
+    """
+    from repro.mac.messages import InstanceLog
+
+    by_ref: dict[int, list[Observation]] = {}
+    for obs in sorted(
+        (obs for obs in observations if obs.kind in MAC_KINDS),
+        key=Observation.sort_key,
+    ):
+        if obs.node is None:
+            raise ExperimentError(
+                f"instance {obs.ref}: {obs.kind} event without a node"
+            )
+        by_ref.setdefault(obs.ref, []).append(obs)
+    log = InstanceLog()
+    for expected, ref in enumerate(sorted(by_ref)):
+        if ref != expected:
+            raise ExperimentError(
+                f"trace has non-contiguous instance ids (expected "
+                f"{expected}, found {ref})"
+            )
+        events = by_ref[ref]
+        bcasts = [obs for obs in events if obs.kind == "bcast"]
+        if len(bcasts) != 1:
+            raise ExperimentError(
+                f"instance {ref} has {len(bcasts)} bcast events (need 1)"
+            )
+        inst = log.new_instance(bcasts[0].node, bcasts[0].key, bcasts[0].time)
+        for obs in events:
+            if obs.kind == "rcv":
+                if obs.node in inst.rcv_times:
+                    raise ExperimentError(
+                        f"instance {ref} has a second rcv at node {obs.node}"
+                    )
+                inst.rcv_times[obs.node] = obs.time
+            elif obs.kind == "ack":
+                if inst.ack_time is not None:
+                    raise ExperimentError(f"instance {ref} has a second ack")
+                inst.ack_time = obs.time
+            elif obs.kind == "abort":
+                if inst.abort_time is not None:
+                    raise ExperimentError(f"instance {ref} has a second abort")
+                inst.abort_time = obs.time
+    return log
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ executor trusts — not just transport digests.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -111,13 +110,12 @@ def _check_summary(document: Any, key: str) -> str | None:
 def _check_journal(raw: bytes, key: str) -> str | None:
     """Why a journal blob is invalid, or ``None`` when it verifies."""
     from repro.errors import ExperimentError
-    from repro.runtime.journal import loads_journal
+    from repro.runtime.journal import loads_journal, unframe_journal
 
+    where = f"journal {key[:12]}…"
     try:
-        if raw[:2] == b"\x1f\x8b":
-            raw = gzip.decompress(raw)
-        journal = loads_journal(raw.decode("utf-8"), where=f"journal {key[:12]}…")
-    except (ExperimentError, OSError, EOFError, UnicodeDecodeError) as exc:
+        journal = loads_journal(unframe_journal(raw, where), where=where)
+    except ExperimentError as exc:
         return f"journal does not decode: {exc}"
     if journal.meta.get("spec_key") != key:
         return "journal spec_key does not match entry key"

@@ -45,7 +45,6 @@ def test_star_import_matches_all():
         "repro.core.structuring",
         "repro.radio",
         "repro.runtime",
-        "repro.runtime.trace",
         "repro.analysis",
         "repro.analysis.ascii_art",
         "repro.experiments",

@@ -423,7 +423,8 @@ def test_trace_check_passes_on_real_journals(tmp_path, capsys):
     assert "ok" in out
 
 
-def test_trace_check_fails_on_a_violated_journal(tmp_path, capsys):
+def _synthetic_journal(path, rows) -> str:
+    """Write a plain-JSONL journal of ``rows`` for a 5-node line spec."""
     import json as json_mod
 
     from repro.experiments import (
@@ -442,28 +443,69 @@ def test_trace_check_fails_on_a_violated_journal(tmp_path, capsys):
         model=ModelSpec(fack=5.0, fprog=1.0),
         seed=0,
     )
-    rows = [
-        [0.0, "bcast", 0, "m0", 0, 1.0],
-        [50.0, "ack", 0, "m0", 0, 1.0],  # latency 50 >> fack 5
-    ]
     header = {
         "format": 1,
         "kind": "observation-journal",
         "count": len(rows),
         "meta": {"spec": spec.to_dict()},
     }
-    path = tmp_path / "violated.jsonl"
     path.write_text(
         "\n".join([json_mod.dumps(header)] + [json_mod.dumps(r) for r in rows])
         + "\n"
     )
-    status = main(["trace", "check", str(path)])
+    return str(path)
+
+
+def test_trace_check_fails_on_a_violated_journal(tmp_path, capsys):
+    rows = [
+        [0.0, "bcast", 0, "m0", 0, 1.0],
+        [50.0, "ack", 0, "m0", 0, 1.0],  # latency 50 >> fack 5
+    ]
+    path = _synthetic_journal(tmp_path / "violated.jsonl", rows)
+    status = main(["trace", "check", path])
     captured = capsys.readouterr()
     assert status == 1
     assert "ack latency" in captured.err
     # Narrowing to a passing check flips the verdict.
-    assert main(["trace", "check", str(path), "--check", "delivery_order"]) == 0
+    assert main(["trace", "check", path, "--check", "delivery_order"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([[0.5, "rcv", 1, "m0", 0, 1.0]], "instance 0 has 0 bcast events"),
+        ([[0.0, "bcast", 0, "m0", 1, 1.0]], "non-contiguous instance ids"),
+        (
+            [
+                [0.0, "bcast", 0, "m0", 0, 1.0],
+                [0.5, "rcv", 1, "m0", 0, 1.0],
+                [0.6, "rcv", 1, "m0", 0, 1.0],
+                [1.0, "ack", 0, "m0", 0, 1.0],
+            ],
+            "instance 0 has a second rcv at node 1",
+        ),
+    ],
+    ids=["orphan-rcv", "id-gap", "duplicated-rcv"],
+)
+def test_trace_check_reports_malformed_mac_streams(tmp_path, capsys, rows, reason):
+    good = [
+        [0.0, "bcast", 0, "m0", 0, 1.0],
+        [0.5, "rcv", 1, "m0", 0, 1.0],
+        [1.0, "ack", 0, "m0", 0, 1.0],
+    ]
+    paths = [
+        _synthetic_journal(tmp_path / "malformed.jsonl", rows),
+        _synthetic_journal(tmp_path / "good.jsonl", good),
+    ]
+    status = main(["trace", "check", *paths, "--check", "mac_axioms"])
+    captured = capsys.readouterr()
+    assert status == 1
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"CHECK FAIL [mac_axioms] {paths[0]}: ")
+    assert reason in line
+    # The remaining journal was still checked.
+    assert "2 check runs over 2 journals: 1 failures" in captured.out
 
 
 def test_trace_diff_and_grep(tmp_path, capsys):

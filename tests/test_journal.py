@@ -7,6 +7,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -23,10 +25,11 @@ from repro.runtime.journal import (
     JOURNAL_FORMAT,
     JOURNAL_KIND,
     dump_journal,
-    iter_journal,
+    Journal,
     journal_lines,
     loads_journal,
     read_journal,
+    unframe_journal,
     write_journal,
 )
 from repro.runtime.observations import Observation
@@ -72,7 +75,6 @@ def test_round_trip_preserves_stream_and_meta(tmp_path):
     assert journal.format == JOURNAL_FORMAT
     assert journal.meta == {"spec_key": "abc"}
     assert journal.observations == _stream()
-    assert tuple(iter_journal(path)) == _stream()
 
 
 def test_dump_is_byte_deterministic_and_order_canonical():
@@ -243,6 +245,117 @@ def test_write_journal_returns_the_kept_count(tmp_path):
     assert write_journal(path, stream) == 4
     assert path.read_bytes() == dump_journal(stream)
     assert write_journal(path, stream, include_profile=True) == 5
+
+
+# ----------------------------------------------------------------------
+# Bit rot: a damaged gzip frame fails typed on every read path
+# ----------------------------------------------------------------------
+def _real_journal() -> bytes:
+    return dump_journal(run(_spec()).observations)
+
+
+def _bit_rot(data: bytes) -> bytes:
+    """Bytes 20-27 (inside the deflate stream) overwritten with 0xff."""
+    rotted = bytearray(data)
+    rotted[20:28] = b"\xff" * 8
+    return bytes(rotted)
+
+
+def test_bit_rotted_journal_file_fails_typed(tmp_path):
+    path = tmp_path / "rot.obs.jsonl.gz"
+    path.write_bytes(_bit_rot(_real_journal()))
+    with pytest.raises(ExperimentError, match="rot.obs.jsonl.gz: corrupt journal"):
+        read_journal(path)
+
+
+def test_bit_rotted_store_journal_reads_as_corrupt(tmp_path):
+    from repro.campaigns.store import ResultStore, spec_key
+    from repro.store.tools import verify_store
+
+    spec = _spec()
+    store = ResultStore(str(tmp_path / "store"))
+    store.put_journal(spec, run(spec).observations)
+    key = spec_key(spec)
+    store.backend.put("journal", key, _bit_rot(store.backend.get("journal", key)))
+    fresh = ResultStore(store.root)
+    assert fresh.get_journal(spec) is None
+    assert fresh.stats.corrupt == 1
+    report = verify_store(fresh.backend)
+    assert [p.reason.partition(":")[0] for p in report.problems] == [
+        "journal does not decode"
+    ]
+    assert "corrupt journal frame" in report.problems[0].reason
+
+
+# ----------------------------------------------------------------------
+# Fuzzing: untrusted bytes decode to a Journal or fail typed
+# ----------------------------------------------------------------------
+_REAL_JOURNAL = dump_journal(_stream(), meta={"spec_key": "abc"})
+
+
+def _decode(raw: bytes) -> None:
+    try:
+        journal = loads_journal(unframe_journal(raw, "fuzz"), where="fuzz")
+    except ExperimentError:
+        return
+    assert isinstance(journal, Journal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_REAL_JOURNAL) - 1), st.integers(0, 255)
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, len(_REAL_JOURNAL)),
+)
+def test_mutated_and_truncated_journal_bytes_fail_typed(edits, cut):
+    raw = bytearray(_REAL_JOURNAL)
+    for offset, value in edits:
+        raw[offset] = value
+    _decode(bytes(raw))
+    _decode(bytes(raw[:cut]))
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=7)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(["format", "kind", "count", "meta"]),
+        _json_values | st.just(JOURNAL_KIND) | st.just(JOURNAL_FORMAT),
+    ),
+    st.lists(
+        _json_values
+        | st.tuples(
+            _json_values,
+            st.sampled_from(["bcast", "rcv", "nope"]),
+            _json_values,
+            _json_values,
+            _json_values,
+            _json_values,
+        ).map(list),
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_random_header_and_row_values_fail_typed(header, rows, framed):
+    text = "\n".join(json.dumps(item) for item in [header, *rows]) + "\n"
+    raw = text.encode("utf-8")
+    _decode(gzip.compress(raw) if framed else raw)
 
 
 def test_unsupported_format_version_rejected():

@@ -37,7 +37,7 @@ from repro.experiments import (
     smoke_spec,
 )
 from repro.experiments.substrates import SMOKE_SPEC_BUILDERS
-from repro.runtime.trace import flatten, from_observations
+from repro.runtime.observations import MAC_KINDS, Probe, instance_log
 
 BUILTINS = ("standard", "protocol", "rounds", "radio", "sinr")
 
@@ -207,15 +207,51 @@ def test_every_substrate_emits_observations():
 
 def test_observations_match_instance_trace_on_standard():
     result = run(smoke_spec("standard"))
+    probe = Probe()
+    probe.observe_instances(result.raw.instances)
     from_stream = [
-        (e.time, e.kind, e.node, e.iid)
-        for e in from_observations(result.observations)
+        (o.time, o.kind, o.node, o.ref)
+        for o in result.observations
+        if o.kind in MAC_KINDS
     ]
-    from_instances = [
-        (e.time, e.kind, e.node, e.iid)
-        for e in flatten(result.raw.instances)
-    ]
+    from_instances = [(o.time, o.kind, o.node, o.ref) for o in probe.events()]
+    assert from_stream
     assert from_stream == from_instances
+
+
+def test_instance_log_matches_raw_instances_on_every_substrate():
+    """The journaled stream rebuilds each engine's instance log field for
+    field, on every smoke substrate that emits MAC events."""
+    rebuilt_on = []
+    for name in sorted(SMOKE_SPEC_BUILDERS):
+        result = run(smoke_spec(name))
+        if not any(o.kind in MAC_KINDS for o in result.observations):
+            continue
+        raw = getattr(result.raw, "instances", None)
+        if raw is None:
+            raw = result.raw.layer.instances  # slotted radio substrates
+        rebuilt = instance_log(result.observations)
+        assert len(rebuilt) == len(raw) > 0, name
+        for got, want in zip(rebuilt, raw):
+            assert (
+                got.iid,
+                got.sender,
+                got.payload,
+                got.bcast_time,
+                got.rcv_times,
+                got.ack_time,
+                got.abort_time,
+            ) == (
+                want.iid,
+                want.sender,
+                str(getattr(want.payload, "mid", want.payload)),
+                want.bcast_time,
+                want.rcv_times,
+                want.ack_time,
+                want.abort_time,
+            ), name
+        rebuilt_on.append(name)
+    assert {"standard", "protocol", "radio", "sinr"} <= set(rebuilt_on)
 
 
 def test_observations_dropped_on_summary_runs():
