@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.specs import ExperimentSpec
 from repro.runtime.journal import Journal, dump_journal, loads_journal, unframe_journal
@@ -52,6 +52,44 @@ def spec_key(spec: ExperimentSpec) -> str:
 def _payload_digest(payload: dict[str, Any]) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def decode_summary(data: bytes, key: str) -> ExperimentResult | str:
+    """The result a summary entry's bytes hold, or why they are invalid.
+
+    The document checks every reader trusts — JSON object, format
+    version, embedded checksum, payload key, and a ``result`` that
+    rebuilds — in one place: :meth:`ResultStore.get` and ``repro store
+    verify`` both call it.  A checksum only proves the bytes are the ones
+    written, not that their shape is right, so any failure to rebuild
+    the result is returned as a reason, never raised.
+    """
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return f"not JSON: {exc}"
+    if not isinstance(document, dict):
+        return "not a JSON object"
+    if document.get("format") != STORE_FORMAT:
+        return f"format {document.get('format')!r} != {STORE_FORMAT}"
+    payload = document.get("payload")
+    if not isinstance(payload, dict):
+        return "missing payload"
+    if document.get("sha256") != _payload_digest(payload):
+        return "payload checksum mismatch"
+    if payload.get("key") != key:
+        return f"payload key {str(payload.get('key'))[:12]}… != entry key"
+    try:
+        return ExperimentResult.from_dict(payload["result"])
+    except (
+        ReproError,
+        AttributeError,
+        KeyError,
+        OverflowError,
+        TypeError,
+        ValueError,
+    ) as exc:
+        return f"result does not decode: {type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -107,13 +145,13 @@ class ResultStore:
     def get(self, spec: ExperimentSpec) -> ExperimentResult | None:
         """The stored summary for ``spec``, or ``None`` (miss/corrupt).
 
-        A present-but-invalid entry — unparseable JSON, wrong format
-        version, checksum mismatch (document-level or HTTP transport-
-        level), or a stored spec that does not round-trip to the
-        requested one — counts as corrupt *and* as a miss: the caller
-        re-runs the point and the rewrite heals the store.  An
-        *unreachable* backend raises instead — silence there would
-        silently re-run an entire cached campaign.
+        A present-but-invalid entry — any reason :func:`decode_summary`
+        gives, an HTTP transport-level checksum mismatch, or a stored
+        spec that does not round-trip to the requested one — counts as
+        corrupt *and* as a miss: the caller re-runs the point and the
+        rewrite heals the store.  An *unreachable* backend raises
+        instead — silence there would silently re-run an entire cached
+        campaign.
         """
         key = spec_key(spec)
         try:
@@ -125,40 +163,12 @@ class ResultStore:
         if data is None:
             self.stats.misses += 1
             return None
-        try:
-            document = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            return None
-        result = self._decode(document, key, spec)
-        if result is None:
+        result = decode_summary(data, key)
+        if isinstance(result, str) or result.spec != spec:
             self.stats.misses += 1
             self.stats.corrupt += 1
             return None
         self.stats.hits += 1
-        return result
-
-    def _decode(
-        self, document: Any, key: str, spec: ExperimentSpec
-    ) -> ExperimentResult | None:
-        if not isinstance(document, dict):
-            return None
-        if document.get("format") != STORE_FORMAT:
-            return None
-        payload = document.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        if document.get("sha256") != _payload_digest(payload):
-            return None
-        if payload.get("key") != key:
-            return None
-        try:
-            result = ExperimentResult.from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        if result.spec != spec:
-            return None
         return result
 
     # ------------------------------------------------------------------

@@ -92,7 +92,6 @@ from repro.experiments.overrides import (
     parse_assignment,
     parse_assignments,
     parse_axes,
-    parse_scalar,
 )
 from repro.mac.axioms import check_axioms
 from repro.mac.schedulers import ChokeAdversary, GreyZoneAdversary
@@ -836,115 +835,6 @@ def cmd_trace_grep(args: argparse.Namespace) -> int:
     return 0 if matched else 1
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Run the performance suite and emit/compare ``BENCH_PERF.json``."""
-    from repro import perf
-
-    # Validate every input before the (multi-second) calibration runs, so
-    # usage errors fail fast with a clean message like other subcommands.
-    suites = ("micro", "macro") if args.suite == "all" else (args.suite,)
-    sizes = dict(perf.DEFAULT_SIZES)
-    if args.macro_sizes:
-        try:
-            wanted = tuple(
-                int(tok) for tok in args.macro_sizes.split(",") if tok
-            )
-        except ValueError:
-            raise SystemExit(
-                f"--macro-sizes needs comma-separated integers, got "
-                f"{args.macro_sizes!r}"
-            )
-        if args.macro_filter:
-            # Intersect with each family's defaults; families with no
-            # matching size are skipped entirely.
-            sizes = {
-                family: tuple(n for n in wanted if n in ns)
-                for family, ns in sizes.items()
-            }
-        else:
-            sizes = {family: wanted for family in sizes}
-
-    def _load(path: str, flag: str):
-        try:
-            return perf.load_report(path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{flag}: cannot read report {path!r}: {exc}")
-
-    before = _load(args.embed_before, "--embed-before") if args.embed_before else None
-    baseline = _load(args.baseline, "--baseline") if args.baseline else None
-
-    records = []
-    print("calibrating host ...", file=sys.stderr)
-    calibration = perf.calibrate()
-    from repro.perf.micro import micro_available
-
-    if "micro" in suites:
-        for name, bench in perf.MICRO_BENCHMARKS.items():
-            if not micro_available(name):
-                print(
-                    f"micro/{name} skipped (needs numpy; install the "
-                    f"'fast' extra)",
-                    file=sys.stderr,
-                )
-                continue
-            print(f"micro/{name} ...", file=sys.stderr)
-            records.append(bench(args.repeats))
-    if "macro" in suites:
-        for family in perf.SCENARIOS:
-            if not perf.scenario_available(family):
-                print(
-                    f"macro/{family} skipped (needs numpy; install the "
-                    f"'fast' extra)",
-                    file=sys.stderr,
-                )
-                continue
-            for n in sizes.get(family, ()):
-                print(f"macro/{family}_n{n} ...", file=sys.stderr)
-                records.append(
-                    perf.run_macro_scenario(family, n, args.repeats)
-                )
-    report = perf.build_report(
-        records, calibration, note=args.note, before=before
-    )
-    rows = [
-        {
-            "benchmark": f"{r.suite}/{r.name}",
-            "wall s": round(r.wall_seconds, 4),
-            "events/s": (
-                round(r.events_per_second) if r.events_per_second else "-"
-            ),
-        }
-        for r in records
-    ]
-    print(render_table(rows, title="performance suite"))
-    if args.out:
-        perf.write_report(args.out, report)
-        print(f"report written to {args.out}")
-    if baseline is not None:
-        regressions, ratios, uncovered = perf.compare_reports(
-            report, baseline, max_regression=args.max_regression
-        )
-        print(render_table(
-            [
-                {"benchmark": key, "normalized ratio": value}
-                for key, value in sorted(ratios.items())
-            ],
-            title=f"vs baseline {args.baseline} "
-                  f"(fail above {1.0 + args.max_regression:.2f}x)",
-        ))
-        for key in uncovered:
-            print(
-                f"WARNING: {key} is not in the baseline — regenerate "
-                f"{args.baseline} to regression-gate it",
-                file=sys.stderr,
-            )
-        if regressions:
-            for reg in regressions:
-                print(f"REGRESSION {reg.describe()}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def cmd_lowerbound(args: argparse.Namespace) -> int:
     # The lower-bound adversaries are bound to their gadget networks
     # (the Figure 2 scheduler needs the line structure), so this command
@@ -1406,49 +1296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grep.add_argument("pattern", help="regular expression")
     p_grep.add_argument("journals", nargs="+", help="journal files")
     p_grep.set_defaults(func=cmd_trace_grep)
-
-    p_perf = sub.add_parser(
-        "perf", help="run the performance suite and emit BENCH_PERF.json"
-    )
-    p_perf.add_argument(
-        "--suite", choices=["micro", "macro", "all"], default="all"
-    )
-    p_perf.add_argument(
-        "--repeats", type=int, default=3, help="timed repetitions per benchmark"
-    )
-    p_perf.add_argument(
-        "--out", metavar="FILE", help="write the report JSON here"
-    )
-    p_perf.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="compare against a committed report (calibration-normalized)",
-    )
-    p_perf.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed normalized slowdown fraction before failing (0.25 = 25%%)",
-    )
-    p_perf.add_argument(
-        "--macro-sizes",
-        metavar="N1,N2,...",
-        help="override macro sizes (applied to every scenario family)",
-    )
-    p_perf.add_argument(
-        "--macro-filter",
-        action="store_true",
-        help="with --macro-sizes, intersect with each family's defaults "
-        "instead of replacing them",
-    )
-    p_perf.add_argument(
-        "--embed-before",
-        metavar="FILE",
-        help="embed a previously recorded report as the 'before' section "
-        "and compute per-benchmark speedups",
-    )
-    p_perf.add_argument("--note", default="", help="provenance note")
-    p_perf.set_defaults(func=cmd_perf)
 
     p_lb = sub.add_parser("lowerbound", help="run a lower-bound adversary")
     _add_model_options(p_lb)

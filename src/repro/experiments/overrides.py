@@ -7,8 +7,8 @@ text and exit behavior.  This module is the single grammar both now
 share (``--fault`` and ``--check`` parameter lists reuse the same scalar
 and assignment pieces):
 
-* :func:`parse_scalar` — one value literal: int, then float, then bool,
-  then bare string;
+* :func:`parse_scalar` — one value literal: int, then finite float, then
+  bool, then bare string;
 * :func:`parse_assignment` / :func:`parse_assignments` — ``key=value``
   pairs from a repeatable flag;
 * :func:`parse_axis` / :func:`parse_axes` — ``path=v1,v2,...`` sweep
@@ -21,6 +21,7 @@ usage error reads the same no matter which flag produced it.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable
 
 from repro.errors import ExperimentError
@@ -35,12 +36,26 @@ __all__ = [
 
 
 def parse_scalar(token: str) -> Any:
-    """CLI value literal: int, then float, then bool, then bare string."""
-    for cast in (int, float):
-        try:
-            return cast(token)
-        except ValueError:
-            pass
+    """CLI value literal: int, then float, then bool, then bare string.
+
+    A float literal must be finite: ``nan``, ``inf`` and literals that
+    overflow to infinity (``1e999``) raise, because no spec parameter
+    takes them and they would otherwise fail deep inside a run.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        number = float(token)
+    except ValueError:
+        pass
+    else:
+        if not math.isfinite(number):
+            raise ExperimentError(
+                f"non-finite number {token!r} is not a valid value"
+            )
+        return number
     if token.lower() in ("true", "false"):
         return token.lower() == "true"
     return token

@@ -53,8 +53,9 @@ from repro.runtime.journal import write_journal
 from repro.runtime.observations import Observation
 
 #: Names in ``__all__`` are re-exported on purpose: the pre-substrate
-#: dispatcher lived here, and downstream code (CLI, perf harness, golden
-#: recorder) still imports these helpers from this module.
+#: dispatcher lived here, and downstream code (the campaign layer, the
+#: store tools, perfbench's driver, the golden recorder) still imports
+#: these helpers from this module.
 __all__ = [
     "ExperimentResult",
     "RadioRun",

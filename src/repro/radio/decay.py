@@ -93,21 +93,6 @@ class DecaySchedule:
         return None
 
 
-def phase_probability(step: int, depth: int) -> float:
-    """Transmission probability at slot ``step`` of a decay schedule.
-
-    ``2^{-(step mod (depth+1))}`` — the deterministic per-slot probability
-    a :class:`DecaySchedule` of this depth flips its coin against.  Used
-    by the perf macro lane rungs to build decay-shaped transmitter sets
-    without consuming any RNG stream.
-    """
-    if depth < 0:
-        raise MACError(f"depth must be >= 0, got {depth}")
-    if step < 0:
-        raise MACError(f"step must be >= 0, got {step}")
-    return 2.0 ** (-(step % (depth + 1)))
-
-
 def decay_depth_for(max_contention: int) -> int:
     """The canonical depth: ``ceil(log2 κ)`` for worst-case contention κ."""
     if max_contention < 1:

@@ -10,9 +10,7 @@ executor trusts — not just transport digests.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.store.backend import StoreBackend
 
@@ -82,26 +80,13 @@ class StoreVerifyReport:
         return text
 
 
-def _check_summary(document: Any, key: str) -> str | None:
-    """Why a summary document is invalid, or ``None`` when it verifies."""
-    from repro.campaigns.store import STORE_FORMAT, _payload_digest, spec_key
-    from repro.experiments.runner import ExperimentResult
+def _check_summary(data: bytes, key: str) -> str | None:
+    """Why a summary entry is invalid, or ``None`` when it verifies."""
+    from repro.campaigns.store import decode_summary, spec_key
 
-    if not isinstance(document, dict):
-        return "not a JSON object"
-    if document.get("format") != STORE_FORMAT:
-        return f"format {document.get('format')!r} != {STORE_FORMAT}"
-    payload = document.get("payload")
-    if not isinstance(payload, dict):
-        return "missing payload"
-    if document.get("sha256") != _payload_digest(payload):
-        return "payload checksum mismatch"
-    if payload.get("key") != key:
-        return f"payload key {str(payload.get('key'))[:12]}… != entry key"
-    try:
-        result = ExperimentResult.from_dict(payload["result"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return f"result does not decode: {exc}"
+    result = decode_summary(data, key)
+    if isinstance(result, str):
+        return result
     if spec_key(result.spec) != key:
         return "spec does not hash to entry key"
     return None
@@ -139,15 +124,7 @@ def verify_store(
         if data is None:
             reason: str | None = "listed but unreadable"
         elif kind == "summary":
-            try:
-                document = json.loads(data.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                document = None
-                reason = f"not JSON: {exc}"
-            else:
-                reason = None
-            if document is not None:
-                reason = _check_summary(document, key)
+            reason = _check_summary(data, key)
         else:
             reason = _check_journal(data, key)
         if reason is None:

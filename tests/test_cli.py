@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 
@@ -563,6 +567,47 @@ def test_override_grammar_shares_one_error_shape():
         parse_axis("oops")
     with pytest.raises(ExperimentError, match=r"--param needs path=v1,v2"):
         parse_axis("path=")
+
+
+@pytest.mark.parametrize(
+    "override", ["topology.side=nan", "topology.side=inf", "seed=nan"]
+)
+def test_sweep_non_finite_param_exits_2(capsys, override):
+    status = main(
+        ["sweep", "--n", "12", "--side", "2.0", "--k", "2", "--seeds", "1",
+         "--param", override]
+    )
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error:") and "non-finite" in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.sampled_from(["nan", "-inf", "Infinity", "1e999", "3", "0.5", "true"]),
+        st.text(),
+    )
+)
+def test_override_grammar_yields_finite_values_or_fails_typed(text):
+    """Any text either parses to finite numbers, bools and strings or
+    raises ExperimentError, through both the axis and assignment forms."""
+    from repro.errors import ExperimentError
+    from repro.experiments.overrides import parse_assignment, parse_axis
+
+    parsed = []
+    for item in (text, f"path={text}"):
+        for parse in (parse_axis, parse_assignment):
+            try:
+                parsed.append(parse(item))
+            except ExperimentError:
+                pass
+    for key, values in parsed:
+        assert isinstance(key, str) and key
+        for value in values if isinstance(values, list) else [values]:
+            assert isinstance(value, (int, float, bool, str))
+            if isinstance(value, float):
+                assert math.isfinite(value)
 
 
 def test_sweep_malformed_param_exits_2(capsys):

@@ -149,6 +149,23 @@ def test_materialize_topology_is_seed_deterministic():
     assert set(first.unreliable_graph.edges) == set(second.unreliable_graph.edges)
 
 
+
+def test_materialize_topology_memoizes_identical_requests():
+    spec = ExperimentSpec(topology=TopologySpec("line", {"n": 8}), seed=3)
+    first = materialize_topology(spec)
+    second = materialize_topology(spec)
+    assert first is second
+
+
+def test_materialize_topology_distinguishes_seeds_and_params():
+    spec_a = ExperimentSpec(topology=TopologySpec("line", {"n": 8}), seed=3)
+    spec_b = ExperimentSpec(topology=TopologySpec("line", {"n": 8}), seed=4)
+    spec_c = ExperimentSpec(topology=TopologySpec("line", {"n": 9}), seed=3)
+    built_a = materialize_topology(spec_a)
+    assert materialize_topology(spec_b) is not built_a
+    assert materialize_topology(spec_c) is not built_a
+
+
 # ----------------------------------------------------------------------
 # Sweep grids
 # ----------------------------------------------------------------------

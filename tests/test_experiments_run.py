@@ -37,6 +37,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import ROOT_STREAM
 from repro.radio import RadioMACLayer
+from tests.golden.record import SCENARIOS
 
 FACK = 20.0
 FPROG = 1.0
@@ -264,6 +265,14 @@ def test_parallel_sweep_equals_serial_sweep():
     parallel = run_sweep(specs, workers=2)
     assert len(serial) == len(parallel) == 4
     assert serial.results == parallel.results
+
+
+def test_parallel_chunked_sweep_matches_serial():
+    base = SCENARIOS["bmmb_uniform"]
+    specs = Sweep.grid(base, axes={"workload.k": [2, 3]}, repeats=2)
+    serial = run_sweep(specs, workers=None)
+    parallel = run_sweep(specs, workers=2)
+    assert list(serial.results) == list(parallel.results)
 
 
 def test_arrival_rate_sweep_parallel_equals_serial():

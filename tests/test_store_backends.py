@@ -12,12 +12,16 @@ writes, byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaigns import (
     CampaignSpec,
@@ -33,8 +37,10 @@ from repro.campaigns import (
     run_campaign,
     spec_key,
 )
+from repro.campaigns.store import STORE_FORMAT, _payload_digest
 from repro.errors import ExperimentError
 from repro.experiments import (
+    ExperimentResult,
     ExperimentSpec,
     ModelSpec,
     RunOptions,
@@ -499,6 +505,121 @@ def test_verify_store_flags_corruption_and_optionally_deletes(tmp_path):
     healed = verify_store(backend, delete=True)
     assert healed.deleted == 1
     assert backend.get(kind, key) is None
+
+
+@functools.lru_cache(maxsize=1)
+def _result_dict() -> dict:
+    return _one_result().to_dict()
+
+
+def _paths(node, prefix=()):
+    """Every key path into a nested dict, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for name, child in node.items():
+            yield from _paths(child, prefix + (name,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_DELETE = object()
+
+
+def _mutated(result: dict, path: tuple, value) -> dict:
+    mutated = json.loads(json.dumps(result))
+    if not path:
+        return value
+    parent = mutated
+    for name in path[:-1]:
+        parent = parent[name]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return mutated
+
+
+def _digest_valid_entry(key: str, result_payload) -> bytes:
+    """Summary entry bytes whose checksum and key hold, whatever the result."""
+    payload = {"key": key, "result": result_payload}
+    document = {
+        "format": STORE_FORMAT,
+        "sha256": _payload_digest(payload),
+        "payload": payload,
+    }
+    return json.dumps(document).encode("utf-8")
+
+
+def _expected_to_verify(result_payload, key: str) -> bool:
+    try:
+        return spec_key(ExperimentResult.from_dict(result_payload).spec) == key
+    except Exception:
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_digest_valid_entry_with_mutated_result_reads_as_corrupt(data):
+    """A checksum proves the bytes, not their shape: a digest-valid entry
+    whose ``result`` payload was mutated is a miss for ``get`` and a
+    problem for ``verify_store`` unless it still decodes to the point's
+    spec -- and neither ever raises."""
+    original = _result_dict()
+    path = data.draw(st.sampled_from(list(_paths(original))), label="path")
+    choices = _JSON_VALUES if not path else st.just(_DELETE) | _JSON_VALUES
+    value = data.draw(choices, label="value")
+    spec = ExperimentSpec.from_dict(original["spec"])
+    key = spec_key(spec)
+    mutated = _mutated(original, path, value)
+    valid = _expected_to_verify(mutated, key)
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        store.backend.put("summary", key, _digest_valid_entry(key, mutated))
+        got = store.get(spec)
+        assert (got is not None) == valid
+        assert store.stats.corrupt == (0 if valid else 1)
+        report = verify_store(store.backend)
+        assert report.checked == 1
+        assert [p.key for p in report.problems] == ([] if valid else [key])
+
+
+@pytest.mark.parametrize(
+    "path", [("spec",), ("spec", "model")], ids=["spec", "spec.model"]
+)
+def test_entry_whose_spec_part_is_a_list_reads_as_corrupt(tmp_path, path):
+    original = _result_dict()
+    spec = ExperimentSpec.from_dict(original["spec"])
+    key = spec_key(spec)
+    mutated = _mutated(original, path, [1, 2])
+    store = ResultStore(str(tmp_path / "m"))
+    store.backend.put("summary", key, _digest_valid_entry(key, mutated))
+    assert store.get(spec) is None
+    assert store.stats.corrupt == 1
+    (problem,) = verify_store(store.backend).problems
+    assert problem.reason.startswith("result does not decode: AttributeError")
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [(b"null", "not a JSON object"), (b"[" * 100_000, "not JSON")],
+    ids=["null", "deeply-nested"],
+)
+def test_summary_that_is_no_json_object_reads_as_corrupt(tmp_path, data, reason):
+    spec = ExperimentSpec.from_dict(_result_dict()["spec"])
+    store = ResultStore(str(tmp_path / "n"))
+    store.backend.put("summary", spec_key(spec), data)
+    assert store.get(spec) is None
+    assert store.stats.corrupt == 1
+    (problem,) = verify_store(store.backend).problems
+    assert problem.reason.startswith(reason)
 
 
 def test_gc_keeps_campaign_keys_and_respects_dry_run(tmp_path):
