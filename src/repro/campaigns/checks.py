@@ -4,8 +4,13 @@ A campaign's :class:`~repro.campaigns.spec.CheckSpec` directives name
 entries in :data:`CHECKS` — functions that inspect the points of the
 sweeps in scope and return a list of human-readable failure strings
 (empty = pass).  Bound overlays and bound checks share :data:`BOUNDS`:
-named closed-form curves computed from a point's *spec* (materializing
-the deterministic topology when the bound needs the diameter).
+named closed-form curves computed from a point's *spec* and its stored
+*facts* — the reliable ``diameter`` of its network, which the fabric
+worker that ran the point recorded in its store entry
+(:func:`~repro.experiments.substrates.topology_facts`).  A bound that
+needs the diameter reads it from the facts, so a report over a full
+store builds no topology; an entry written before facts existed has
+none, and the bound falls back to building the network.
 
 Both registries are open — downstream campaigns register their own
 entries with :func:`register_check` / :func:`register_bound` and name
@@ -26,8 +31,9 @@ from repro.analysis.bounds import (
 from repro.analysis.fitting import linear_fit
 from repro.errors import ExperimentError
 from repro.experiments.registries import Registry
-from repro.experiments.runner import ExperimentResult, materialize_topology
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.specs import ExperimentSpec
+from repro.experiments.substrates import Facts, topology_facts
 from repro.experiments.sweep import path_value
 
 CHECKS = Registry("campaign check")
@@ -40,18 +46,29 @@ def register_check(name: str):
 
 
 def register_bound(name: str):
-    """Register ``bound(spec) -> float`` under ``name``."""
+    """Register ``bound(spec, facts) -> float`` under ``name``.
+
+    ``facts`` is the point's stored ``{"diameter": D}``, or ``None``
+    for an entry written without them; a bound that needs them then
+    falls back to :func:`~repro.experiments.substrates.topology_facts`,
+    which builds the network.
+    """
     return BOUNDS.register(name)
 
 
 @dataclass(frozen=True)
 class Point:
-    """One executed campaign point as the checks see it."""
+    """One executed campaign point as the checks see it.
+
+    ``facts`` are the topology facts stored beside the result (``None``
+    when its store entry has none).
+    """
 
     sweep: str
     index: int
     spec: ExperimentSpec
     result: ExperimentResult
+    facts: Facts | None = None
 
 
 #: The mapping every check receives: sweep name -> points in sweep order.
@@ -116,32 +133,40 @@ def workload_k(spec: ExperimentSpec) -> int:
     return 1
 
 
+def _diameter(spec: ExperimentSpec, facts: Facts | None) -> int:
+    """The reliable diameter from stored facts, built only without them."""
+    if facts is None:
+        facts = topology_facts(spec)
+    return facts["diameter"]
+
+
 @register_bound("bmmb_gg")
-def _bound_bmmb_gg(spec: ExperimentSpec) -> float:
+def _bound_bmmb_gg(spec: ExperimentSpec, facts: Facts | None) -> float:
     """Theorem 3.16 (r=1): ``(D + 2k - 2)*Fprog + (k - 1)*Fack``."""
-    dual = materialize_topology(spec)
     return bmmb_gg_bound(
-        dual.diameter(), workload_k(spec), spec.model.fack, spec.model.fprog
+        _diameter(spec, facts), workload_k(spec), spec.model.fack, spec.model.fprog
     )
 
 
 @register_bound("bmmb_arbitrary")
-def _bound_bmmb_arbitrary(spec: ExperimentSpec) -> float:
+def _bound_bmmb_arbitrary(spec: ExperimentSpec, facts: Facts | None) -> float:
     """Theorem 3.1: ``(D + k)*Fack`` for arbitrary G'."""
-    dual = materialize_topology(spec)
-    return bmmb_arbitrary_bound(dual.diameter(), workload_k(spec), spec.model.fack)
+    return bmmb_arbitrary_bound(
+        _diameter(spec, facts), workload_k(spec), spec.model.fack
+    )
 
 
 @register_bound("figure2_floor")
-def _bound_figure2_floor(spec: ExperimentSpec) -> float:
+def _bound_figure2_floor(spec: ExperimentSpec, facts: Facts | None) -> float:
     """Lemma 3.20: the ``(D - 1)*Fack`` adversarial floor."""
     depth = int(path_value(spec, "topology.depth"))
     return figure2_lower_bound(depth, spec.model.fack)
 
 
-def bound_value(name: str, spec: ExperimentSpec) -> float:
-    """Evaluate the registered bound curve ``name`` at ``spec``."""
-    return BOUNDS.get(name)(spec)
+def bound_value(name: str, spec: ExperimentSpec, facts: Facts | None = None) -> float:
+    """Evaluate the registered bound curve ``name`` at ``spec``, reading
+    the point's stored ``facts`` when it has them."""
+    return BOUNDS.get(name)(spec, facts)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +200,7 @@ def _check_upper_bound(
         if not point.result.solved:
             failures.append(f"{point.spec.name}: unsolved, bound undefined")
             continue
-        limit = bound_value(bound, point.spec)
+        limit = bound_value(bound, point.spec, point.facts)
         if point.result.completion_time > limit + slack:
             failures.append(
                 f"{point.spec.name}: completion "
@@ -192,7 +217,7 @@ def _check_lower_bound(
     """Every point's completion must reach the named adversarial floor."""
     failures = []
     for point in _all_points(points_by_sweep):
-        floor = bound_value(bound, point.spec)
+        floor = bound_value(bound, point.spec, point.facts)
         if point.result.completion_time < floor - slack:
             failures.append(
                 f"{point.spec.name}: completion "

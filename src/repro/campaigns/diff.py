@@ -9,11 +9,13 @@ it.  Each point lands in exactly one bucket:
 
 ``identical``
     Both stores hold the entry and the bytes match (journals too, for
-    journaled sweeps).
+    journaled sweeps) — or the only difference is that one side has no
+    recorded topology facts (an entry written before facts existed):
+    the payloads are equal once ``facts`` is removed.
 ``metric_delta``
-    Both entries decode but their observable outcomes differ — the
-    interesting bucket for cross-revision drift; per-field deltas are
-    reported.
+    Both entries decode but their observable outcomes (or, when both
+    sides record them, their topology facts) differ — the interesting
+    bucket for cross-revision drift; per-field deltas are reported.
 ``journal_delta``
     Summaries are byte-identical but the journal bytes differ (or one
     side's journal is absent).
@@ -29,12 +31,13 @@ nonzero on drift so the comparison can gate automation.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 from repro.campaigns.executor import expand_points
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import ResultStore, spec_key
+from repro.campaigns.store import FACT_KEYS, ResultStore, spec_key
 from repro.experiments.runner import ExperimentResult
 
 #: Buckets in report order; every bucket after ``identical`` is drift.
@@ -142,8 +145,6 @@ def _result_deltas(a: ExperimentResult, b: ExperimentResult) -> list[str]:
     for name in series_names:
         if a.series.get(name) != b.series.get(name):
             deltas.append(f"series.{name} differs")
-    if not deltas:
-        deltas.append("results decode equal but entry bytes differ")
     return deltas
 
 
@@ -193,16 +194,37 @@ def _diff_summaries(
         return "missing_b", ""
     if raw_a == raw_b:
         return "identical", ""
-    result_a = store_a.get(spec)
-    result_b = store_b.get(spec)
-    if result_a is None or result_b is None:
+    entry_a = store_a.get(spec)
+    entry_b = store_b.get(spec)
+    if entry_a is None or entry_b is None:
         sides = []
-        if result_a is None:
+        if entry_a is None:
             sides.append("A")
-        if result_b is None:
+        if entry_b is None:
             sides.append("B")
         return "undecodable", f"corrupt entry in store {'/'.join(sides)}"
-    return "metric_delta", "; ".join(_result_deltas(result_a, result_b))
+    (result_a, facts_a), (result_b, facts_b) = entry_a, entry_b
+    if (facts_a is None) != (facts_b is None):
+        # One side may have been written before entries recorded facts;
+        # it is the same entry when the rest of the payloads is equal.
+        if _payload_without_facts(raw_a) == _payload_without_facts(raw_b):
+            return "identical", ""
+    deltas = _result_deltas(result_a, result_b)
+    if facts_a is not None and facts_b is not None:
+        for name in FACT_KEYS:
+            line = _scalar_delta(f"facts.{name}", facts_a[name], facts_b[name])
+            if line is not None:
+                deltas.append(line)
+    if not deltas:
+        deltas.append("results decode equal but entry bytes differ")
+    return "metric_delta", "; ".join(deltas)
+
+
+def _payload_without_facts(raw: bytes) -> str:
+    """The canonical payload of a decodable entry, ``facts`` removed."""
+    payload = json.loads(raw.decode("utf-8"))["payload"]
+    payload.pop("facts", None)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _diff_journals(

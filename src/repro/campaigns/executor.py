@@ -35,6 +35,7 @@ from repro.campaigns.trace_checks import run_trace_check
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.specs import ExperimentSpec
+from repro.experiments.substrates import Facts
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,9 @@ class CampaignRun:
         points: The shard's points, in order.
         results: One result per completed shard point (aligned with
             ``points`` only when the run is complete — see ``complete``).
+        facts: Each result's topology facts (aligned with ``results``):
+            the worker's for a point that ran, the store entry's for a
+            cached one (``None`` for an entry written without facts).
         ran: Points actually executed (completed) this invocation.
         cached: Points served from the store.
         corrupt: Store entries that failed verification and were re-run.
@@ -115,6 +119,7 @@ class CampaignRun:
     shard: tuple[int, int]
     points: list[CampaignPoint]
     results: list[ExperimentResult]
+    facts: list[Facts | None]
     ran: int = 0
     cached: int = 0
     corrupt: int = 0
@@ -196,7 +201,7 @@ def run_campaign(
     options_by_sweep = {
         d.name: d.options for d in campaign.sweeps if d.options is not None
     }
-    results: list[ExperimentResult | None] = [None] * len(points)
+    entries: list[tuple[ExperimentResult, Facts | None] | None] = [None] * len(points)
     misses: list[int] = []
     corrupt_before = store.stats.corrupt if store is not None else 0
     for position, point in enumerate(points):
@@ -204,7 +209,7 @@ def run_campaign(
         if cached is not None and (
             point.sweep not in journal_sweeps or store.has_journal(point.spec)
         ):
-            results[position] = cached
+            entries[position] = cached
         else:
             # A summary hit without its journal still re-runs: the
             # journal directive promises the stream is on disk.
@@ -216,17 +221,20 @@ def run_campaign(
             spec=points[position].spec,
             journaled=points[position].sweep in journal_sweeps,
             options=options_by_sweep.get(points[position].sweep),
+            record_facts=True,
         )
         for position in misses
     ]
     outcome = run_supervised(jobs, store, fabric, chaos=campaign.chaos)
     for position, result in outcome.results.items():
-        results[position] = result
+        entries[position] = (result, outcome.facts[position])
+    done = [entry for entry in entries if entry is not None]
     return CampaignRun(
         campaign=campaign,
         shard=shard,
         points=points,
-        results=[r for r in results if r is not None],
+        results=[result for result, _ in done],
+        facts=[facts for _, facts in done],
         ran=len(outcome.results),
         cached=len(points) - len(misses),
         corrupt=(store.stats.corrupt - corrupt_before) if store is not None else 0,
@@ -246,8 +254,9 @@ def collect_results(
 
     Returns:
         ``(points_by_sweep, missing)`` — the check-ready mapping over the
-        points present, plus the points with no valid store entry (from
-        shards that have not run, or entries that failed verification).
+        points present (each carrying its entry's facts), plus the points
+        with no valid store entry (from shards that have not run, or
+        entries that failed verification).
 
     A journaled sweep's point also counts as missing when its summary is
     present but its journal is not — the journal directive promised the
@@ -261,14 +270,14 @@ def collect_results(
     }
     missing: list[CampaignPoint] = []
     for point in expand_points(campaign):
-        result = store.get(point.spec)
-        if result is None or (
+        entry = store.get(point.spec)
+        if entry is None or (
             point.sweep in journal_sweeps and not store.has_journal(point.spec)
         ):
             missing.append(point)
         else:
             points_by_sweep[point.sweep].append(
-                Point(point.sweep, point.index, point.spec, result)
+                Point(point.sweep, point.index, point.spec, *entry)
             )
     return points_by_sweep, missing
 
@@ -289,9 +298,9 @@ def results_by_sweep(run: CampaignRun) -> PointsBySweep:
     points_by_sweep: PointsBySweep = {
         directive.name: [] for directive in run.campaign.sweeps
     }
-    for point, result in zip(run.points, run.results):
+    for point, result, facts in zip(run.points, run.results, run.facts):
         points_by_sweep[point.sweep].append(
-            Point(point.sweep, point.index, point.spec, result)
+            Point(point.sweep, point.index, point.spec, result, facts)
         )
     return points_by_sweep
 

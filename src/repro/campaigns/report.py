@@ -122,7 +122,7 @@ def bound_overlay(
 
     Evaluated on the first series' specs: one representative spec per x
     (the first in sweep order), since the bound is a function of the spec
-    alone.
+    and its network alone; the point's stored facts supply the network.
     """
     if figure.bound is None:
         return []
@@ -134,7 +134,7 @@ def bound_overlay(
                 x = float(path_value(point.spec, figure.x))
                 chosen.setdefault(x, point)
     return [
-        (x, bound_value(figure.bound, point.spec))
+        (x, bound_value(figure.bound, point.spec, point.facts))
         for x, point in sorted(chosen.items())
     ]
 

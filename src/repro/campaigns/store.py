@@ -16,6 +16,11 @@ seed, so the key covers it).  Properties the campaign executor relies on:
 * **Portable** — entries store only the observable outcome (``wall_time``
   is zeroed), so stores merged from different machines or CI shards are
   byte-identical to a single-machine run.
+* **Self-describing for checks** — the fabric writes each point's
+  topology facts (``{"diameter"}``) beside its result, so bound
+  checks need not rebuild the network.  Facts are optional: an entry
+  without them (written before they existed, or by :meth:`ResultStore.put`
+  without ``facts``) is still valid at the same ``STORE_FORMAT``.
 
 This module owns the *document* layer — encoding, checksums, spec
 round-trips.  *Where the bytes live* is a
@@ -35,6 +40,7 @@ from typing import Any
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.specs import ExperimentSpec
+from repro.experiments.substrates import Facts
 from repro.runtime.journal import Journal, dump_journal, loads_journal, unframe_journal
 from repro.runtime.observations import Observation
 from repro.store.backend import StoreBackend, StoreIntegrityError, open_backend
@@ -54,15 +60,38 @@ def _payload_digest(payload: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def decode_summary(data: bytes, key: str) -> ExperimentResult | str:
-    """The result a summary entry's bytes hold, or why they are invalid.
+#: The keys a stored ``facts`` object holds, no more and no fewer.
+FACT_KEYS = ("diameter",)
+
+
+def _facts_problem(facts: Any) -> str | None:
+    """Why a stored ``facts`` value is malformed, or ``None`` when valid."""
+    if not isinstance(facts, dict):
+        return f"facts is {type(facts).__name__}, not an object"
+    if tuple(sorted(facts)) != FACT_KEYS:
+        return f"facts keys {sorted(map(str, facts))} != {list(FACT_KEYS)}"
+    for name in FACT_KEYS:
+        value = facts[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            return f"facts.{name} is {value!r}, not a non-negative int"
+    return None
+
+
+def decode_summary(
+    data: bytes, key: str
+) -> tuple[ExperimentResult, Facts | None] | str:
+    """The ``(result, facts)`` a summary entry's bytes hold, or why they
+    are invalid.
 
     The document checks every reader trusts — JSON object, format
-    version, embedded checksum, payload key, and a ``result`` that
-    rebuilds — in one place: :meth:`ResultStore.get` and ``repro store
-    verify`` both call it.  A checksum only proves the bytes are the ones
-    written, not that their shape is right, so any failure to rebuild
-    the result is returned as a reason, never raised.
+    version, embedded checksum, payload key, a ``result`` that rebuilds
+    with a spec that hashes to the entry key, and ``facts`` that are
+    absent (entries written before facts existed, or by a writer with
+    none to give) or well formed — in one place:
+    :meth:`ResultStore.get` and ``repro store verify`` both call it.  A
+    checksum only proves the bytes are the ones written, not that their
+    shape is right, so any failure to rebuild is returned as a reason,
+    never raised.
     """
     try:
         document = json.loads(data.decode("utf-8"))
@@ -79,8 +108,13 @@ def decode_summary(data: bytes, key: str) -> ExperimentResult | str:
         return "payload checksum mismatch"
     if payload.get("key") != key:
         return f"payload key {str(payload.get('key'))[:12]}… != entry key"
+    facts = payload.get("facts")
+    if "facts" in payload:
+        problem = _facts_problem(facts)
+        if problem is not None:
+            return problem
     try:
-        return ExperimentResult.from_dict(payload["result"])
+        result = ExperimentResult.from_dict(payload["result"])
     except (
         ReproError,
         AttributeError,
@@ -90,6 +124,16 @@ def decode_summary(data: bytes, key: str) -> ExperimentResult | str:
         ValueError,
     ) as exc:
         return f"result does not decode: {type(exc).__name__}: {exc}"
+    try:
+        hashed = spec_key(result.spec)
+    except (RecursionError, TypeError, ValueError) as exc:
+        # A rebuilt spec can still hold params JSON cannot sort or encode.
+        return f"spec does not encode: {type(exc).__name__}: {exc}"
+    if hashed != key:
+        # E.g. a param stored as ``true`` where the key hashed ``1``: the
+        # specs compare equal in Python, but the entry is not this key's.
+        return "spec does not hash to entry key"
+    return result, facts
 
 
 @dataclass
@@ -142,12 +186,16 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    def get(self, spec: ExperimentSpec) -> ExperimentResult | None:
-        """The stored summary for ``spec``, or ``None`` (miss/corrupt).
+    def get(
+        self, spec: ExperimentSpec
+    ) -> tuple[ExperimentResult, Facts | None] | None:
+        """The stored ``(result, facts)`` for ``spec``, or ``None``
+        (miss/corrupt); ``facts`` is ``None`` for an entry written
+        without them.
 
         A present-but-invalid entry — any reason :func:`decode_summary`
-        gives, an HTTP transport-level checksum mismatch, or a stored
-        spec that does not round-trip to the requested one — counts as
+        gives (a stored spec that does not hash to the entry key among
+        them) or an HTTP transport-level checksum mismatch — counts as
         corrupt *and* as a miss: the caller re-runs the point and the
         rewrite heals the store.  An *unreachable* backend raises
         instead — silence there would silently re-run an entire cached
@@ -163,29 +211,36 @@ class ResultStore:
         if data is None:
             self.stats.misses += 1
             return None
-        result = decode_summary(data, key)
-        if isinstance(result, str) or result.spec != spec:
+        entry = decode_summary(data, key)
+        if isinstance(entry, str):
             self.stats.misses += 1
             self.stats.corrupt += 1
             return None
         self.stats.hits += 1
-        return result
+        return entry
 
     # ------------------------------------------------------------------
     # Write side
     # ------------------------------------------------------------------
-    def encode(self, result: ExperimentResult) -> tuple[str, bytes]:
+    def encode(
+        self, result: ExperimentResult, facts: Facts | None = None
+    ) -> tuple[str, bytes]:
         """The ``(key, entry bytes)`` a result checkpoints as.
 
         The encoding is the byte-identity contract: every backend stores
         exactly these bytes, so stores written through different
         backends (or merged across machines) stay byte-for-byte equal.
+        ``facts`` (see :func:`~repro.experiments.substrates.topology_facts`)
+        ride in the payload beside the result, checksummed with it; with
+        ``facts=None`` the payload has no ``facts`` key at all.
         """
         key = spec_key(result.spec)
-        payload = {
+        payload: dict[str, Any] = {
             "key": key,
             "result": result.to_dict(),
         }
+        if facts is not None:
+            payload["facts"] = facts
         document = {
             "format": STORE_FORMAT,
             "sha256": _payload_digest(payload),
@@ -194,14 +249,15 @@ class ResultStore:
         text = json.dumps(document, sort_keys=True, indent=1) + "\n"
         return key, text.encode("utf-8")
 
-    def put(self, result: ExperimentResult) -> str:
-        """Checkpoint ``result`` atomically; returns the entry location.
+    def put(self, result: ExperimentResult, facts: Facts | None = None) -> str:
+        """Checkpoint ``result`` (and its ``facts``) atomically; returns
+        the entry location.
 
         The summary is stored without ``wall_time`` (see module
         docstring) so entry bytes depend only on the spec and its
         deterministic outcome.
         """
-        key, data = self.encode(result)
+        key, data = self.encode(result, facts)
         location = self.backend.put("summary", key, data)
         self.stats.writes += 1
         return location

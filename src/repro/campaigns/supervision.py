@@ -59,6 +59,7 @@ from repro.campaigns.store import ResultStore, spec_key
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentResult, RunOptions
 from repro.experiments.specs import ExperimentSpec
+from repro.experiments.substrates import Facts, topology_facts
 from repro.experiments.sweep import _run_with_options
 from repro.store.backend import StoreError
 from repro.store.retry import deterministic_backoff
@@ -227,6 +228,9 @@ class FabricJob:
     checkpoint; ``options`` overrides the per-point capture entirely (a
     :class:`~repro.experiments.runner.RunOptions` from the sweep
     directive) — ``None`` derives it from ``journaled``.
+    ``record_facts`` asks the worker for the point's
+    :func:`~repro.experiments.substrates.topology_facts`, which the
+    checkpoint records beside the result.
     """
 
     position: int
@@ -234,6 +238,7 @@ class FabricJob:
     spec: ExperimentSpec
     journaled: bool = False
     options: RunOptions | None = None
+    record_facts: bool = False
 
     def run_options(self) -> RunOptions:
         """The effective capture options shipped to the worker."""
@@ -250,6 +255,7 @@ class FabricOutcome:
     failed: dict[int, str]
     health: FabricHealth
     exhausted: str | None = None
+    facts: dict[int, Facts | None] = field(default_factory=dict)
 
 
 #: Deterministic exponential backoff for retry ``attempt`` (>= 1) — the
@@ -269,11 +275,13 @@ def _worker_chaos(chaos: tuple[ChaosSpec, ...], key: str, attempt: int):
 
 
 def _fabric_worker(conn, chaos: tuple[ChaosSpec, ...]) -> None:
-    """Worker main loop: receive (task_id, spec, attempt, options) jobs.
+    """Worker main loop: receive (task_id, spec, attempt, options,
+    record_facts) jobs.
 
-    Replies ``("ok", task_id, result)`` or ``("error", task_id, text)``.
-    Never raises out of a job: a failing point is reported, not fatal.
-    Chaos directives fire *before* the run so an injected fault costs a
+    Replies ``("ok", task_id, (result, facts))`` or ``("error", task_id,
+    text)``; ``facts`` is ``None`` unless the job asked for them.  Never
+    raises out of a job: a failing point is reported, not fatal.  Chaos
+    directives fire *before* the run so an injected fault costs a
     requeue, never a wasted simulation.
     """
     try:
@@ -281,7 +289,7 @@ def _fabric_worker(conn, chaos: tuple[ChaosSpec, ...]) -> None:
             message = conn.recv()
             if message[0] == "exit":
                 return
-            _, task_id, spec, attempt, options = message
+            _, task_id, spec, attempt, options, record_facts = message
             directive = _worker_chaos(chaos, spec_key(spec), attempt)
             if directive is not None:
                 if directive.kind == "worker_kill":
@@ -294,10 +302,13 @@ def _fabric_worker(conn, chaos: tuple[ChaosSpec, ...]) -> None:
                     time.sleep(directive.seconds)
             try:
                 result = _run_with_options(spec, options)
+                # Taken after wall_time: the run left the network in this
+                # worker's topology memo, so the facts cost one diameter.
+                facts = topology_facts(spec) if record_facts else None
             except Exception as exc:
                 conn.send(("error", task_id, f"{type(exc).__name__}: {exc}"))
                 continue
-            conn.send(("ok", task_id, result))
+            conn.send(("ok", task_id, (result, facts)))
     except (EOFError, OSError, KeyboardInterrupt):
         return
 
@@ -320,7 +331,14 @@ class _Worker:
 
     def dispatch(self, task: "_InFlight", job: FabricJob) -> None:
         self.conn.send(
-            ("run", task.task_id, job.spec, task.attempt, job.run_options())
+            (
+                "run",
+                task.task_id,
+                job.spec,
+                task.attempt,
+                job.run_options(),
+                job.record_facts,
+            )
         )
         self.inflight = task
 
@@ -369,6 +387,7 @@ class _Supervisor:
         self.chaos = chaos
         self.health = FabricHealth()
         self.results: dict[int, ExperimentResult] = {}
+        self.facts: dict[int, Facts | None] = {}
         self.failed: dict[int, str] = {}
         self.exhausted: str | None = None
         self.pending: deque[_Pending] = deque(
@@ -410,13 +429,16 @@ class _Supervisor:
         self.health.count("retried")
         self.health.record(kind, self._label(position), attempt, detail)
 
-    def _checkpoint(self, position: int, attempt: int, result) -> bool:
+    def _checkpoint(
+        self, position: int, attempt: int, result, facts: Facts | None
+    ) -> bool:
         """Persist one completed point; False means corrupt → re-run.
 
         With a store, journaled results persist their observation stream
         first, then the summary entry (observations stripped, matching
-        the cache-hit shape).  A ``store_corrupt`` chaos directive fires
-        *after* the write so the self-verifying read is what catches it.
+        the cache-hit shape) with the worker's facts beside the result.
+        A ``store_corrupt`` chaos directive fires *after* the write so
+        the self-verifying read is what catches it.
         """
         job = self.jobs[position]
         if job.journaled and self.store is not None:
@@ -425,8 +447,9 @@ class _Supervisor:
             result = dataclasses.replace(result, observations=())
         if self.store is None:
             self.results[position] = result
+            self.facts[position] = facts
             return True
-        self.store.put(result)
+        self.store.put(result, facts)
         key = self.keys[position]
         for spec in self.chaos:
             if spec.kind == "store_corrupt" and spec.hits(key, attempt):
@@ -439,6 +462,7 @@ class _Supervisor:
                     return False
                 break
         self.results[position] = result
+        self.facts[position] = facts
         return True
 
     # -- worker lifecycle ---------------------------------------------
@@ -469,7 +493,7 @@ class _Supervisor:
         elapsed = time.monotonic() - task.started
         if status == "ok":
             try:
-                checkpointed = self._checkpoint(task.position, task.attempt, payload)
+                checkpointed = self._checkpoint(task.position, task.attempt, *payload)
             except StoreError as exc:
                 # The store backend failed (server down, transport fault).
                 # The point itself succeeded, but without a durable
@@ -653,7 +677,9 @@ class _Supervisor:
         finally:
             for worker in self.workers:
                 worker.shutdown(kill=worker.inflight is not None)
-        return FabricOutcome(self.results, self.failed, self.health, self.exhausted)
+        return FabricOutcome(
+            self.results, self.failed, self.health, self.exhausted, self.facts
+        )
 
 
 def run_supervised(

@@ -176,6 +176,23 @@ def materialize_topology(spec: ExperimentSpec) -> DualGraph:
     return dual
 
 
+#: A point's bound inputs: ``{"diameter": reliable hop diameter}`` (see
+#: :func:`topology_facts`).
+Facts = dict[str, int]
+
+
+def topology_facts(spec: ExperimentSpec) -> Facts:
+    """The bound inputs of the spec's network: ``{"diameter"}``.
+
+    ``diameter`` is the reliable graph's hop diameter of the static
+    network (:meth:`DualGraph.diameter`), never a fault view.  Campaign
+    workers record these facts in each store entry so bound checks read
+    them instead of rebuilding the network; this call is the fallback
+    for entries written without them.
+    """
+    return {"diameter": materialize_topology(spec).diameter()}
+
+
 def materialize_workload(spec: ExperimentSpec, dual: DualGraph):
     """Build the spec's workload against an already-built network."""
     if spec.workload is None:

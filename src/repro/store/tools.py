@@ -3,8 +3,8 @@
 These operate on any :class:`~repro.store.backend.StoreBackend`, so the
 same command moves entries between two directories, a directory and a
 server, or two servers.  Verification re-checks the *document* layer
-(format, embedded checksum, spec round-trip) — the layer the campaign
-executor trusts — not just transport digests.
+(format, embedded checksum, spec round-trip, recorded facts) — the
+layer the campaign executor trusts — not just transport digests.
 """
 
 from __future__ import annotations
@@ -82,14 +82,10 @@ class StoreVerifyReport:
 
 def _check_summary(data: bytes, key: str) -> str | None:
     """Why a summary entry is invalid, or ``None`` when it verifies."""
-    from repro.campaigns.store import decode_summary, spec_key
+    from repro.campaigns.store import decode_summary
 
-    result = decode_summary(data, key)
-    if isinstance(result, str):
-        return result
-    if spec_key(result.spec) != key:
-        return "spec does not hash to entry key"
-    return None
+    entry = decode_summary(data, key)
+    return entry if isinstance(entry, str) else None
 
 
 def _check_journal(raw: bytes, key: str) -> str | None:

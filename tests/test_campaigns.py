@@ -244,7 +244,7 @@ def test_store_round_trip(tmp_path):
     assert store.get(result.spec) is None
     store.put(result)
     again = store.get(result.spec)
-    assert again == result
+    assert again == (result, None)
     assert store.stats.hits == 1
     assert store.stats.misses == 1
     assert store.stats.writes == 1
@@ -286,7 +286,7 @@ def test_store_detects_corruption_and_reruns(tmp_path, corruption):
     assert store.stats.corrupt == 1
     store.put(result)  # re-run heals the entry ...
     healed = store.get(result.spec)
-    assert healed == result  # ... and the replay matches the original
+    assert healed == (result, None)  # ... and the replay matches the original
 
 
 def test_store_rejects_entry_for_a_different_spec(tmp_path):
@@ -333,7 +333,7 @@ def test_concurrent_store_writers_leave_one_clean_entry(tmp_path):
     assert [os.path.basename(p) for p in files] == [f"{key}.json"]
     assert not any(name.endswith(".tmp") for name in files)
     fresh = ResultStore(root)
-    assert fresh.get(result.spec) == result
+    assert fresh.get(result.spec) == (result, None)
     assert fresh.stats.corrupt == 0
 
 

@@ -374,7 +374,7 @@ def test_corrupt_http_entry_reads_as_miss_and_heals(http_store):
     assert store.stats.corrupt == 1
     store.put(result)  # the re-run's rewrite heals the entry
     assert store.backend.get("summary", key) == encoded
-    assert store.get(result.spec) == result
+    assert store.get(result.spec) == (result, None)
 
 
 class _FlakyBackend(LocalBackend):
@@ -473,6 +473,64 @@ def test_diff_buckets_tampered_missing_and_corrupt(tmp_path):
     assert statuses[key0] == "undecodable"
 
 
+def test_diff_entry_without_facts_reads_identical(tmp_path):
+    """A store written before entries recorded facts is no drift against
+    one written after: the results decode equal, only the facts differ."""
+    store_a = _run_into(tmp_path, "a")
+    store_b = _run_into(tmp_path, "b")
+    for point in expand_points(tiny_campaign()):
+        result, facts = store_b.get(point.spec)
+        assert facts is not None
+        key = spec_key(point.spec)
+        store_b.put(result)  # the old layout: no facts beside the result
+        assert store_b.backend.get("summary", key) != store_a.backend.get(
+            "summary", key
+        )
+    report = diff_campaign(tiny_campaign(), store_a, store_b)
+    assert report.ok
+    assert [p.status for p in report.points] == ["identical", "identical"]
+    assert diff_campaign(tiny_campaign(), store_b, store_a).ok
+
+
+def test_diff_entry_without_facts_still_sees_other_byte_drift(tmp_path):
+    """Only the facts may be missing for such a pair to read identical: a
+    count written as 7.0 instead of 7 decodes equal but is still drift."""
+    store_a = _run_into(tmp_path, "a")
+    store_b = _run_into(tmp_path, "b")
+    point = expand_points(tiny_campaign())[0]
+    key = spec_key(point.spec)
+    result, facts = store_b.get(point.spec)
+    store_a.put(result)  # side A: the old layout, no facts
+    payload = json.loads(store_b.backend.get("summary", key))["payload"]
+    count = payload["result"]["broadcast_count"]
+    payload["result"]["broadcast_count"] = float(count)
+    store_b.backend.put(
+        "summary", key, _digest_valid_entry(key, payload["result"], facts=facts)
+    )
+    assert store_b.get(point.spec) == (result, facts)
+    report = diff_campaign(tiny_campaign(), store_a, store_b)
+    drifted = {p.key: p for p in report.points}[key]
+    assert drifted.status == "metric_delta"
+    assert drifted.detail == "results decode equal but entry bytes differ"
+
+
+def test_diff_reports_differing_facts_as_metric_delta(tmp_path):
+    store_a = _run_into(tmp_path, "a")
+    store_b = _run_into(tmp_path, "b")
+    point = expand_points(tiny_campaign())[0]
+    result, facts = store_b.get(point.spec)
+    wrong = {**facts, "diameter": facts["diameter"] + 1}
+    store_b.put(result, wrong)
+    report = diff_campaign(tiny_campaign(), store_a, store_b)
+    by_key = {p.key: p for p in report.points}
+    drifted = by_key[spec_key(point.spec)]
+    assert drifted.status == "metric_delta"
+    assert drifted.detail == (
+        f"facts.diameter: {facts['diameter']} -> {facts['diameter'] + 1}"
+    )
+    assert report.counts["identical"] == 1
+
+
 # ----------------------------------------------------------------------
 # store tools: sync, verify, gc
 # ----------------------------------------------------------------------
@@ -547,9 +605,10 @@ def _mutated(result: dict, path: tuple, value) -> dict:
     return mutated
 
 
-def _digest_valid_entry(key: str, result_payload) -> bytes:
-    """Summary entry bytes whose checksum and key hold, whatever the result."""
-    payload = {"key": key, "result": result_payload}
+def _digest_valid_entry(key: str, result_payload, **extra) -> bytes:
+    """Summary entry bytes whose checksum and key hold, whatever the result
+    (and whatever ``extra`` payload members, such as ``facts``)."""
+    payload = {"key": key, "result": result_payload, **extra}
     document = {
         "format": STORE_FORMAT,
         "sha256": _payload_digest(payload),
@@ -589,6 +648,109 @@ def test_digest_valid_entry_with_mutated_result_reads_as_corrupt(data):
         report = verify_store(store.backend)
         assert report.checked == 1
         assert [p.key for p in report.problems] == ([] if valid else [key])
+
+
+def _facts_valid(facts) -> bool:
+    return (
+        isinstance(facts, dict)
+        and list(facts) == ["diameter"]
+        and all(type(value) is int and value >= 0 for value in facts.values())
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_digest_valid_entry_with_mutated_facts_reads_as_corrupt(data):
+    """``facts`` is absent or exactly ``{"diameter"}``, a non-negative
+    int; any other digest-valid ``facts`` is a miss for ``get``, counts
+    as corrupt, and is a problem for ``verify_store`` -- and neither
+    raises."""
+    result = _result_dict()
+    spec = ExperimentSpec.from_dict(result["spec"])
+    key = spec_key(spec)
+    payload = {"key": key, "result": result, "facts": {"diameter": 4}}
+    paths = [("facts",) + path for path in _paths(payload["facts"])]
+    path = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(
+        st.just(_DELETE) | st.booleans() | st.integers() | _JSON_VALUES,
+        label="value",
+    )
+    mutated = _mutated(payload, path, value)
+    facts_absent = "facts" not in mutated
+    valid = facts_absent or _facts_valid(mutated["facts"])
+    extra = {} if facts_absent else {"facts": mutated["facts"]}
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        store.backend.put("summary", key, _digest_valid_entry(key, result, **extra))
+        got = store.get(spec)
+        if valid:
+            assert got is not None
+            assert got[1] == (None if facts_absent else mutated["facts"])
+        else:
+            assert got is None
+        assert store.stats.corrupt == (0 if valid else 1)
+        report = verify_store(store.backend)
+        assert report.checked == 1
+        assert [p.key for p in report.problems] == ([] if valid else [key])
+
+
+@pytest.mark.parametrize(
+    "facts",
+    [
+        {"diameter": True},
+        {"diameter": -1},
+        {"diameter": 4.0},
+        {"diameter": "4"},
+        {},
+        {"n": 5, "diameter": 4},
+        [4],
+        None,
+    ],
+)
+def test_entry_with_malformed_facts_reads_as_corrupt(tmp_path, facts):
+    result = _result_dict()
+    spec = ExperimentSpec.from_dict(result["spec"])
+    key = spec_key(spec)
+    store = ResultStore(str(tmp_path / "m"))
+    store.backend.put("summary", key, _digest_valid_entry(key, result, facts=facts))
+    assert store.get(spec) is None
+    assert store.stats.corrupt == 1
+    (problem,) = verify_store(store.backend).problems
+    assert problem.reason.startswith("facts")
+
+
+def test_entry_whose_spec_hashes_to_another_key_reads_as_corrupt(tmp_path):
+    """A param stored as ``true`` where the key hashed ``1`` rebuilds a
+    spec that compares equal to the requested one, but it is not this
+    key's entry: ``get`` and ``verify_store`` both reject it."""
+    original = _result_dict()
+    spec = ExperimentSpec.from_dict(original["spec"])
+    key = spec_key(spec)
+    path = ("spec", "workload", "params", "count")
+    assert original["spec"]["workload"]["params"]["count"] == 1
+    mutated = _mutated(original, path, True)
+    assert ExperimentSpec.from_dict(mutated["spec"]) == spec
+    store = ResultStore(str(tmp_path / "m"))
+    store.backend.put("summary", key, _digest_valid_entry(key, mutated))
+    assert store.get(spec) is None
+    assert store.stats.corrupt == 1
+    (problem,) = verify_store(store.backend).problems
+    assert problem.reason == "spec does not hash to entry key"
+
+
+def test_entry_whose_spec_does_not_encode_reads_as_corrupt(tmp_path):
+    """``model.params`` given as pairs rebuilds into a dict with a ``None``
+    key, which JSON cannot sort: a problem for verify, not a crash."""
+    original = _result_dict()
+    spec = ExperimentSpec.from_dict(original["spec"])
+    key = spec_key(spec)
+    mutated = _mutated(original, ("spec", "model", "params"), [[None, 1], ["a", 2]])
+    store = ResultStore(str(tmp_path / "m"))
+    store.backend.put("summary", key, _digest_valid_entry(key, mutated))
+    assert store.get(spec) is None
+    assert store.stats.corrupt == 1
+    (problem,) = verify_store(store.backend).problems
+    assert problem.reason.startswith("spec does not encode: TypeError")
 
 
 @pytest.mark.parametrize(

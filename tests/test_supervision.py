@@ -42,6 +42,7 @@ from repro.experiments import (
     WorkloadSpec,
     run_sweep,
 )
+from repro.experiments.substrates import topology_facts
 
 
 def _line_spec(n: int, seed: int = 0, nodes=None) -> ExperimentSpec:
@@ -162,14 +163,15 @@ def test_chaos_needing_more_retries_than_allowed_is_rejected():
 # Supervised execution
 # ----------------------------------------------------------------------
 def test_supervised_matches_direct_results(tmp_path):
-    """Two fabric workers store exactly what a serial in-process sweep does."""
+    """Two fabric workers store exactly what a serial in-process sweep does,
+    topology facts included."""
     campaign = build_campaign("smoke", points=4)
     supervised = ResultStore(str(tmp_path / "sup"))
     direct = ResultStore(str(tmp_path / "dir"))
     sup_run = run_campaign(campaign, supervised, fabric=FabricConfig(workers=2))
     reference = run_sweep(point.spec for point in expand_points(campaign))
     for result in reference:
-        direct.put(result)
+        direct.put(result, topology_facts(result.spec))
     assert sup_run.complete
     assert sup_run.results == list(reference)
     assert not sup_run.health.anomalies()
