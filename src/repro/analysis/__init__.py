@@ -1,8 +1,8 @@
 """Analysis: closed-form bounds, scaling fits, and report tables.
 
 The paper's evaluation is its table of asymptotic results (Figure 1); this
-package provides the machinery the benchmarks use to compare measured
-completion times against those bounds:
+package provides the machinery the campaign checks use to compare
+measured completion times against those bounds:
 
 * :mod:`~repro.analysis.bounds` — closed-form predictions for every cell of
   Figure 1 (with the explicit constants the proofs yield, where available);

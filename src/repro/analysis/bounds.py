@@ -2,7 +2,7 @@
 
 Where the paper proves an explicit constant we use it (Theorem 3.16's
 ``t1``); where the statement is asymptotic we expose the bound's *shape*
-with unit constants, which is what the benchmarks compare scaling against.
+with unit constants, which is what the campaign checks compare scaling against.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Least-squares scaling fits for benchmark series.
+"""Least-squares scaling fits for campaign series.
 
 Pure python on purpose: ``repro.analysis`` sits on the package import
 path, and numpy is an optional extra (the ``vectorized`` reception
@@ -20,8 +20,8 @@ class LinearFit:
     """Result of a one-dimensional linear fit ``y ≈ slope·x + intercept``.
 
     ``r_squared`` is the coefficient of determination; a value near 1 on a
-    (parameter, completion-time) series is the evidence the benchmarks use
-    for "time is linear in D" style claims.
+    (parameter, completion-time) series is the evidence the campaign
+    ``slope`` check uses for "time is linear in D" style claims.
     """
 
     slope: float

@@ -1,4 +1,4 @@
-"""Paper-style ASCII tables for benchmark output."""
+"""Paper-style ASCII tables for CLI output."""
 
 from __future__ import annotations
 

@@ -79,7 +79,7 @@ _SOURCES = {
         "shard_points",
         "verify_campaign",
     ),
-    "repro.campaigns.report": ("campaign_summary_rows", "write_artifacts"),
+    "repro.campaigns.report": ("write_artifacts",),
     "repro.campaigns.spec": (
         "CampaignSpec",
         "CheckSpec",
@@ -125,7 +125,6 @@ __all__ = [
     "backoff_delay",
     "bound_value",
     "build_campaign",
-    "campaign_summary_rows",
     "collect_results",
     "diff_campaign",
     "evaluate_checks",

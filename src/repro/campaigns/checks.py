@@ -12,6 +12,19 @@ needs the diameter reads it from the facts, so a report over a full
 store builds no topology; an entry written before facts existed has
 none, and the bound falls back to building the network.
 
+Built-in bounds (``D`` from the facts; ``n``, ``r`` and ``k`` from the
+spec):
+
+=====================  ================================================
+``bmmb_gg``            Theorem 3.16 at r=1: ``(D+2k-2)*Fprog+(k-1)*Fack``
+``bmmb_r_restricted``  Theorem 3.16: ``(D+(r+1)k-2)*Fprog+r(k-1)*Fack``
+``bmmb_arbitrary``     Theorem 3.1: ``(D+k)*Fack`` for any G'
+``fmmb_rounds``        Theorem 4.1: ``FMMB_ROUNDS_FACTOR`` times the
+                       ``(D log n + k log n + log^3 n)*Fprog`` shape
+``figure2_floor``      Lemma 3.20: ``(depth-1)*Fack`` (no facts needed)
+``choke_floor``        Lemma 3.18: ``(k-1)*Fack`` (no facts needed)
+=====================  ================================================
+
 Both registries are open — downstream campaigns register their own
 entries with :func:`register_check` / :func:`register_bound` and name
 them from pure-JSON campaign specs.
@@ -26,9 +39,13 @@ from typing import Callable
 from repro.analysis.bounds import (
     bmmb_arbitrary_bound,
     bmmb_gg_bound,
+    bmmb_r_restricted_bound,
+    choke_lower_bound,
     figure2_lower_bound,
+    fmmb_bound_time,
 )
 from repro.analysis.fitting import linear_fit
+from repro.core.fmmb.config import FMMBConfig
 from repro.errors import ExperimentError
 from repro.experiments.registries import Registry
 from repro.experiments.runner import ExperimentResult
@@ -123,6 +140,8 @@ def workload_k(spec: ExperimentSpec) -> int:
     """The message count ``k`` implied by a spec's workload."""
     if spec.workload is None:
         raise ExperimentError(f"spec {spec.name!r} has no workload")
+    if spec.workload.kind == "parallel_lines_sources":
+        return 2  # Figure 2's m0 and m1, one per line
     params = spec.workload.params
     if "nodes" in params and params["nodes"] is not None:
         return len(params["nodes"])
@@ -154,6 +173,44 @@ def _bound_bmmb_arbitrary(spec: ExperimentSpec, facts: Facts | None) -> float:
     return bmmb_arbitrary_bound(
         _diameter(spec, facts), workload_k(spec), spec.model.fack
     )
+
+
+@register_bound("bmmb_r_restricted")
+def _bound_bmmb_r_restricted(spec: ExperimentSpec, facts: Facts | None) -> float:
+    """Theorem 3.16: ``(D + (r+1)*k - 2)*Fprog + r*(k - 1)*Fack``."""
+    return bmmb_r_restricted_bound(
+        _diameter(spec, facts),
+        workload_k(spec),
+        int(path_value(spec, "topology.r")),
+        spec.model.fack,
+        spec.model.fprog,
+    )
+
+
+#: Theorem 4.1 is asymptotic, so ``fmmb_rounds`` allows this many times
+#: its unit-constant shape.  On the ``fmmb_enhanced`` grid (k <= n) FMMB
+#: takes at most about 1.5x the shape; many more messages than nodes
+#: take more (about 5x for 128 messages at one node of 20).
+FMMB_ROUNDS_FACTOR = 2.0
+
+
+@register_bound("fmmb_rounds")
+def _bound_fmmb_rounds(spec: ExperimentSpec, facts: Facts | None) -> float:
+    """Theorem 4.1: ``FMMB_ROUNDS_FACTOR`` times the Fack-free
+    ``(D*log n + k*log n + log^3 n)*Fprog`` shape, with FMMB's ``c``."""
+    return FMMB_ROUNDS_FACTOR * fmmb_bound_time(
+        _diameter(spec, facts),
+        workload_k(spec),
+        int(path_value(spec, "topology.n")),
+        spec.model.fprog,
+        c=spec.algorithm.params.get("c", FMMBConfig.c),
+    )
+
+
+@register_bound("choke_floor")
+def _bound_choke_floor(spec: ExperimentSpec, facts: Facts | None) -> float:
+    """Lemma 3.18: the ``(k - 1)*Fack`` choke-point floor."""
+    return choke_lower_bound(workload_k(spec), spec.model.fack)
 
 
 @register_bound("figure2_floor")

@@ -283,34 +283,6 @@ def figure_svg(
     return "\n".join(parts) + "\n"
 
 
-def campaign_summary_rows(
-    campaign: CampaignSpec, points_by_sweep: PointsBySweep
-) -> list[dict[str, object]]:
-    """Paper-style table rows: every figure's aggregated curves + bounds.
-
-    The thin benchmark wrappers render these with
-    :func:`repro.analysis.tables.render_table` — the same numbers the
-    campaign's CSV artifacts carry.
-    """
-    rows: list[dict[str, object]] = []
-    for figure in campaign.figures:
-        data = series_data(figure, points_by_sweep)
-        bound = dict(bound_overlay(figure, points_by_sweep))
-        for series in data:
-            for x, stats in series.rows:
-                row: dict[str, object] = {
-                    "figure": figure.name,
-                    "series": series.label,
-                    figure.x: x,
-                    series.agg: stats[series.agg],
-                    "n": int(stats["count"]),
-                }
-                if x in bound:
-                    row[f"bound:{figure.bound}"] = bound[x]
-                rows.append(row)
-    return rows
-
-
 def points_csv(points_by_sweep: PointsBySweep) -> str:
     """Every executed point as one CSV row (the raw data behind figures).
 

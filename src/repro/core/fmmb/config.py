@@ -3,7 +3,7 @@
 The paper states subroutine durations asymptotically (``O(c²·log n)``
 announcement rounds, ``O(c²·(k + log n))`` gather periods, ...).  A concrete
 implementation must pick the constants; this config centralizes them, and
-``EXPERIMENTS.md`` records the values used for every reported number.
+the defaults below are the values every built-in campaign runs with.
 
 Two termination modes:
 

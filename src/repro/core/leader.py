@@ -19,8 +19,7 @@ postcondition: every node's leader is the maximum id of its ``G``-component.
 Message complexity is at most ``n`` improvements per node (each broadcast
 strictly increases the node's known maximum), and the information needs at
 most ``D`` hops from the maximum-id node, so completion is
-``O(D·(Fack + Fprog))`` after the last improvement cascade starts —
-measured empirically in ``benchmarks/bench_leader_consensus.py``.
+``O(D·(Fack + Fprog))`` after the last improvement cascade starts.
 """
 
 from __future__ import annotations

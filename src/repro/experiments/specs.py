@@ -15,6 +15,7 @@ twice (in the same or a different process) yields identical results.
 from __future__ import annotations
 
 import json
+from collections import abc
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -30,8 +31,21 @@ BUILTIN_SUBSTRATES = ("standard", "protocol", "rounds", "radio", "sinr")
 
 
 def _params_dict(params: Mapping[str, Any] | None) -> dict[str, Any]:
-    """Copy params into a plain dict (shields callers' mappings)."""
-    return dict(params) if params else {}
+    """Copy params into a plain dict (shields callers' mappings).
+
+    Params are a JSON object: anything but a mapping with string keys
+    (say, a list of pairs) is rejected here, not turned into a dict that
+    ``to_json`` cannot encode.  Store reads decode every spec through
+    here, so a plain dict skips the slower ``Mapping`` check.
+    """
+    if params is None:
+        return {}
+    if type(params) is not dict and not isinstance(params, abc.Mapping):
+        raise ExperimentError(f"params must be a mapping, got {type(params).__name__}")
+    for key in params:
+        if not isinstance(key, str):
+            raise ExperimentError(f"params keys must be strings, got {key!r}")
+    return dict(params)
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,7 @@ class _KindSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "_KindSpec":
-        return cls(kind=data["kind"], params=_params_dict(data.get("params")))
+        return cls(kind=data["kind"], params=data.get("params"))
 
 
 class TopologySpec(_KindSpec):
@@ -173,7 +187,7 @@ class ModelSpec:
             mac=data.get("mac", "standard"),
             max_time=data.get("max_time"),
             max_events=data.get("max_events", 50_000_000),
-            params=_params_dict(data.get("params")),
+            params=data.get("params"),
             engine=data.get("engine", "reference"),
         )
 

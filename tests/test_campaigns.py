@@ -36,7 +36,7 @@ from repro.campaigns import (
     verify_campaign,
     write_artifacts,
 )
-from repro.campaigns.checks import CHECKS, Point
+from repro.campaigns.checks import CHECKS, Point, workload_k
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentResult,
@@ -46,13 +46,19 @@ from repro.experiments import (
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
+    materialize_topology,
+    materialize_workload,
     run,
 )
 from repro.experiments.sweep import path_value, with_path
 
 BUILTINS = (
     "figure1",
+    "figure1_rrestricted",
+    "figure1_greyzone",
     "figure2_lowerbound",
+    "choke_lowerbound",
+    "fmmb_enhanced",
     "crossover",
     "fault_resilience",
     "radio_footnote2",
@@ -129,7 +135,17 @@ def test_scaled_values_trims_from_the_top():
     assert scaled_values((6, 12), 3) == [6]  # never empty
 
 
-@pytest.mark.parametrize("name", ["figure1", "figure2_lowerbound", "radio_footnote2"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "figure1",
+        "figure1_greyzone",
+        "figure2_lowerbound",
+        "choke_lowerbound",
+        "fmmb_enhanced",
+        "radio_footnote2",
+    ],
+)
 def test_reduced_ladder_points_reuse_full_campaign_keys(name):
     """--n-max keeps ladder-campaign spec hashes: reduced runs warm the cache."""
     full = {spec_key(p.spec) for p in expand_points(build_campaign(name))}
@@ -138,6 +154,48 @@ def test_reduced_ladder_points_reuse_full_campaign_keys(name):
         for p in expand_points(build_campaign(name, n_max=32))
     }
     assert reduced <= full
+
+
+def test_greyzone_adversary_points_are_figure2_points():
+    """figure1_greyzone bounds the Figure 2 adversary's runs from above
+    with the very points figure2_lowerbound bounds from below."""
+    for n_max in (None, 32):
+        greyzone = build_campaign("figure1_greyzone", n_max=n_max)
+        figure2 = build_campaign("figure2_lowerbound", n_max=n_max)
+        shared = [
+            [spec_key(spec) for spec in campaign.sweep(sweep).expand()]
+            for campaign, sweep in (
+                (greyzone, "figure2_adversary"),
+                (figure2, "adversarial"),
+            )
+        ]
+        assert shared[0] == shared[1]
+
+
+def test_all_figures_crossover_check_names_its_prefixed_sweeps():
+    """The crossover check names two sweeps in its params; inside the
+    merge it must name them as prefixed, or it sees neither."""
+    meta = build_campaign("all_figures", n_max=12, include="crossover")
+    (check,) = meta.checks[1:]
+    assert check.params["first"] == "crossover:bmmb"
+    assert check.params["last"] == "crossover:fmmb"
+    points = results_by_sweep(run_campaign(meta, store=None))
+    outcomes = evaluate_checks(meta, points)
+    standalone = build_campaign("crossover", n_max=12)
+    expected = evaluate_checks(
+        standalone, results_by_sweep(run_campaign(standalone, store=None))
+    )
+    assert [o.failures for o in outcomes] == [o.failures for o in expected]
+    assert all(o.ok for o in outcomes)
+
+
+def test_workload_k_counts_the_messages_each_builtin_point_injects():
+    """Bounds take k from the spec: it must be the built workload's k."""
+    for name in BUILTINS:
+        for point in expand_points(build_campaign(name, n_max=12)):
+            spec = point.spec
+            built = materialize_workload(spec, materialize_topology(spec))
+            assert workload_k(spec) == built.k, spec.name
 
 
 def test_zip_axes_pair_replication_seeds():

@@ -69,6 +69,25 @@ def test_spec_json_is_stable_text():
     assert spec.to_json() == ExperimentSpec.from_json(spec.to_json()).to_json()
 
 
+@pytest.mark.parametrize(
+    "path, params",
+    [
+        ("model", [[None, 1]]),
+        ("model", [["a", 1]]),
+        ("topology", {1: 8}),
+        ("workload", "count"),
+    ],
+    ids=["pairs-none-key", "pairs", "int-key", "string"],
+)
+def test_spec_params_must_be_a_json_object(path, params):
+    """Params that are not a mapping with string keys fail as a spec error
+    instead of rebuilding into a spec that ``to_json`` cannot encode."""
+    data = full_spec().to_dict()
+    data[path]["params"] = params
+    with pytest.raises(ExperimentError, match="params"):
+        ExperimentSpec.from_dict(data)
+
+
 def test_component_specs_compare_by_value_and_type():
     assert TopologySpec("line", {"n": 8}) == TopologySpec("line", {"n": 8})
     assert TopologySpec("line", {"n": 8}) != TopologySpec("line", {"n": 9})

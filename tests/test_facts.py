@@ -26,10 +26,18 @@ from repro.campaigns import (
     run_campaign,
     write_artifacts,
 )
+from repro.analysis.bounds import (
+    bmmb_r_restricted_bound,
+    choke_lower_bound,
+    fmmb_bound_time,
+)
+from repro.campaigns import trace_checks
+from repro.campaigns.checks import FMMB_ROUNDS_FACTOR, bound_value
 from repro.campaigns.store import decode_summary
 from repro.cli import main
 from repro.experiments import FaultSpec, substrates
 from repro.experiments.substrates import clear_topology_cache, topology_facts
+from repro.experiments.sweep import path_value
 
 WORKLOADS_PY = os.path.join(
     os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py"
@@ -45,8 +53,9 @@ def _mmb_event_tiny():
 
 
 def _count_builds(monkeypatch) -> list:
-    """Record every ``materialize_topology`` call from here on, starting
-    from an empty topology memo."""
+    """Record every ``materialize_topology`` call from here on (bounds'
+    fallback and trace checks alike), starting from an empty topology
+    memo."""
     clear_topology_cache()
     calls = []
     real = substrates.materialize_topology
@@ -56,6 +65,7 @@ def _count_builds(monkeypatch) -> list:
         return real(spec)
 
     monkeypatch.setattr(substrates, "materialize_topology", counting)
+    monkeypatch.setattr(trace_checks, "materialize_topology", counting)
     return calls
 
 
@@ -187,3 +197,66 @@ def test_stored_facts_are_the_static_network(tmp_path, campaign):
         _, stored = store.get(point.spec)
         assert stored == fresh == expected
         assert topology_facts(point.spec) == expected
+
+
+FIGURE1_CELLS = (
+    "figure1_rrestricted",
+    "figure1_greyzone",
+    "fmmb_enhanced",
+    "choke_lowerbound",
+)
+
+
+@pytest.mark.parametrize("name", FIGURE1_CELLS)
+def test_cached_verify_of_figure1_cells_builds_no_bounded_topology(
+    tmp_path, monkeypatch, name
+):
+    store = str(tmp_path / "store")
+    reduced = ["--n-max", "32", "--store", store]
+    run_args = ["campaign", "run", name, *reduced]
+    assert main([*run_args, "--artifacts", str(tmp_path / "art")]) == 0
+    calls = _count_builds(monkeypatch)
+    assert main(["campaign", "verify", name, *reduced]) == 0
+    # The bounds read stored facts.  The mac_axioms trace check certifies
+    # a journal against the network's edges, which facts do not hold, so
+    # choke_lowerbound's one journaled point is the only network built.
+    campaign = build_campaign(name, n_max=32)
+    journaled = {d.name for d in campaign.sweeps if d.journal}
+    assert calls == [
+        p.spec for p in expand_points(campaign) if p.sweep in journaled
+    ]
+
+
+def _expected_bound(bound: str, spec, diameter: int) -> float:
+    """The bound straight from ``analysis.bounds`` and a built network."""
+    model = spec.model
+    if bound == "bmmb_r_restricted":
+        count = path_value(spec, "workload.count")
+        r = path_value(spec, "topology.r")
+        return bmmb_r_restricted_bound(diameter, count, r, model.fack, model.fprog)
+    k = path_value(spec, "workload.k")
+    if bound == "fmmb_rounds":
+        n = path_value(spec, "topology.n")
+        return FMMB_ROUNDS_FACTOR * fmmb_bound_time(diameter, k, n, model.fprog, 1.6)
+    return choke_lower_bound(k, model.fack)
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        ("figure1_rrestricted", "bmmb_r_restricted"),
+        ("fmmb_enhanced", "fmmb_rounds"),
+        ("choke_lowerbound", "choke_floor"),
+    ],
+)
+def test_new_bounds_read_facts_as_they_read_the_network(monkeypatch, name, bound):
+    specs = [p.spec for p in expand_points(build_campaign(name, n_max=32))]
+    facts = [topology_facts(spec) for spec in specs]
+    calls = _count_builds(monkeypatch)
+    from_facts = [bound_value(bound, s, f) for s, f in zip(specs, facts)]
+    assert calls == []
+    built = [bound_value(bound, spec) for spec in specs]
+    assert from_facts == built == [
+        _expected_bound(bound, spec, substrates.materialize_topology(spec).diameter())
+        for spec in specs
+    ]

@@ -110,6 +110,26 @@ def test_mis_typically_converges_much_faster_than_budget():
     assert result.rounds_used < budget_rounds / 3
 
 
+def test_mis_rounds_grow_far_slower_than_n():
+    """Lemmas 4.3-4.5: the MIS takes polylog(n) rounds, so growing n
+    eightfold on grey-zone networks of constant density grows the mean
+    round count by much less than eightfold."""
+
+    def mean_rounds(n, side):
+        rounds = []
+        for seed in range(3):
+            rng = RandomSource(seed, f"mis-growth-{n}")
+            dual = random_geometric_network(
+                n, side=side, c=1.6, grey_edge_probability=0.4, rng=rng
+            )
+            result = run_mis(dual, seed)
+            assert is_independent(dual, result.mis) and is_maximal(dual, result.mis)
+            rounds.append(result.rounds_used)
+        return sum(rounds) / len(rounds)
+
+    assert mean_rounds(160, 6.5) < 8 * mean_rounds(20, 2.0)
+
+
 def test_mis_is_deterministic_given_seed():
     dual = grid_network(4, 4)
     a = run_mis(dual, seed=6)

@@ -89,6 +89,28 @@ def test_online_latency_lower_than_batch_completion():
         assert latency == pytest.approx(single.completion_time, rel=0.05)
 
 
+def test_batched_arrivals_queue_and_spaced_arrivals_do_not():
+    """Footnote 4: a batch at one node queues behind its acknowledgments,
+    while arrivals spaced 2*Fack apart each see about one message's flood
+    time."""
+    dual = line_network(20)
+
+    def max_latency(schedule):
+        result = run_bmmb(dual, schedule, WorstCaseAckScheduler())
+        assert result.solved
+        return result.max_latency
+
+    single = max_latency(
+        ArrivalSchedule.at_time_zero(MessageAssignment.single_source(0, 1))
+    )
+    batch = max_latency(
+        ArrivalSchedule.at_time_zero(MessageAssignment.single_source(0, 6))
+    )
+    spaced = max_latency(ArrivalSchedule.staggered(0, 6, spacing=2 * FACK))
+    assert batch > 2.0 * single
+    assert spaced <= 1.3 * single
+
+
 def test_bmmb_solves_poisson_arrivals_on_multiple_nodes():
     rng = RandomSource(3)
     dual = line_network(10)

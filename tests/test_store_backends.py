@@ -37,6 +37,7 @@ from repro.campaigns import (
     run_campaign,
     spec_key,
 )
+from repro.campaigns import store as campaign_store
 from repro.campaigns.store import STORE_FORMAT, _payload_digest
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -738,9 +739,11 @@ def test_entry_whose_spec_hashes_to_another_key_reads_as_corrupt(tmp_path):
     assert problem.reason == "spec does not hash to entry key"
 
 
-def test_entry_whose_spec_does_not_encode_reads_as_corrupt(tmp_path):
-    """``model.params`` given as pairs rebuilds into a dict with a ``None``
-    key, which JSON cannot sort: a problem for verify, not a crash."""
+def test_entry_whose_spec_does_not_encode_reads_as_corrupt(tmp_path, monkeypatch):
+    """``model.params`` given as pairs (which would rebuild into a dict
+    with a ``None`` key that JSON cannot sort) is rejected by the spec
+    layer; a spec that still fails to encode meets the store's own guard.
+    Either way: a problem for verify, not a crash."""
     original = _result_dict()
     spec = ExperimentSpec.from_dict(original["spec"])
     key = spec_key(spec)
@@ -750,6 +753,18 @@ def test_entry_whose_spec_does_not_encode_reads_as_corrupt(tmp_path):
     assert store.get(spec) is None
     assert store.stats.corrupt == 1
     (problem,) = verify_store(store.backend).problems
+    assert problem.reason == (
+        "result does not decode: ExperimentError: params must be a mapping, "
+        "got list"
+    )
+
+    def unencodable(spec):
+        raise TypeError("'<' not supported between instances")
+
+    guarded = ResultStore(str(tmp_path / "g"))
+    guarded.backend.put("summary", key, _digest_valid_entry(key, original))
+    monkeypatch.setattr(campaign_store, "spec_key", unencodable)
+    (problem,) = verify_store(guarded.backend).problems
     assert problem.reason.startswith("spec does not encode: TypeError")
 
 
