@@ -11,14 +11,17 @@ it.  Each point lands in exactly one bucket:
     Both stores hold the entry and the bytes match (journals too, for
     journaled sweeps) — or the only difference is that one side has no
     recorded topology facts (an entry written before facts existed):
-    the payloads are equal once ``facts`` is removed.
+    the payloads are equal once ``facts`` is removed.  Journals whose
+    bytes differ are also identical when their decompressed header and
+    stream lines match: the same journal compressed at another gzip
+    level (one written before the level moved from 9 to 6).
 ``metric_delta``
     Both entries decode but their observable outcomes (or, when both
     sides record them, their topology facts) differ — the interesting
     bucket for cross-revision drift; per-field deltas are reported.
 ``journal_delta``
-    Summaries are byte-identical but the journal bytes differ (or one
-    side's journal is absent).
+    Summaries are byte-identical but the journals' header or stream
+    differ (or one side's journal is absent or does not decompress).
 ``missing_a`` / ``missing_b`` / ``missing_both``
     One or both stores have no entry for the point.
 ``undecodable``
@@ -38,7 +41,9 @@ from dataclasses import dataclass, field
 from repro.campaigns.executor import expand_points
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import FACT_KEYS, ResultStore, spec_key
+from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentResult
+from repro.runtime.journal import unframe_journal
 
 #: Buckets in report order; every bucket after ``identical`` is drift.
 DIFF_STATUSES = (
@@ -239,4 +244,13 @@ def _diff_journals(
         sides.append("absent in A")
     if journal_b is None:
         sides.append("absent in B")
-    return "journal_delta", "; ".join(sides) or "journal bytes differ"
+    if sides:
+        return "journal_delta", "; ".join(sides)
+    try:
+        text_a = unframe_journal(journal_a, store_a.journal_path_for(key))
+        text_b = unframe_journal(journal_b, store_b.journal_path_for(key))
+    except ExperimentError as exc:
+        return "journal_delta", str(exc)
+    if text_a == text_b:
+        return "identical", ""
+    return "journal_delta", "journal header or stream differs"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.campaigns.checks import CHECKS, Point, PointsBySweep
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import ResultStore
+from repro.campaigns.store import ResultStore, spec_key
 from repro.campaigns.supervision import (
     FabricConfig,
     FabricHealth,
@@ -106,10 +106,12 @@ class CampaignRun:
         facts: Each result's topology facts (aligned with ``results``):
             the worker's for a point that ran, the store entry's for a
             cached one (``None`` for an entry written without facts).
-        ran: Points actually executed (completed) this invocation.
+        ran: Store keys actually executed (completed) this invocation;
+            a point that several sweeps share runs once.
         cached: Points served from the store.
         corrupt: Store entries that failed verification and were re-run.
-        failed: Points whose retries were exhausted, with the last error.
+        failed: Points whose retries were exhausted, with the last error
+            (every copy of a shared point).
         exhausted: ``"wall_budget"``/``"point_budget"`` when a budget
             stopped the run early, else ``None``.
         health: Supervisor health (counters and anomaly log).
@@ -134,7 +136,7 @@ class CampaignRun:
     @property
     def complete(self) -> bool:
         """True when every shard point has a result."""
-        return self.ran + self.cached == self.total
+        return len(self.results) == self.total
 
     @property
     def cache_hit_rate(self) -> float:
@@ -158,7 +160,7 @@ class CampaignRun:
         if self.failed:
             line += f"; {len(self.failed)} points failed (retries exhausted)"
         if self.exhausted:
-            open_points = self.total - self.ran - self.cached - len(self.failed)
+            open_points = self.total - len(self.results) - len(self.failed)
             line += f"; {self.exhausted} exhausted with {open_points} points open"
         if self.health.anomalies():
             line += f"; fabric: {self.health.describe()}"
@@ -214,20 +216,32 @@ def run_campaign(
             # A summary hit without its journal still re-runs: the
             # journal directive promises the stream is on disk.
             misses.append(position)
+    # One job per store key: sweeps may share a point (figure1_greyzone
+    # reuses figure2_lowerbound's adversary points), and one run fills
+    # every copy.  The job runs as its first journaling copy when there
+    # is one, so it is journaled if any copy's sweep journals.
+    by_key: dict[str, list[int]] = {}
+    for position in misses:
+        by_key.setdefault(spec_key(points[position].spec), []).append(position)
+    copies: dict[int, list[int]] = {}
+    for group in by_key.values():
+        journaled = [p for p in group if points[p].sweep in journal_sweeps]
+        copies[(journaled or group)[0]] = group
     jobs = [
         FabricJob(
-            position=position,
-            label=f"{points[position].sweep}[{points[position].index}]",
-            spec=points[position].spec,
-            journaled=points[position].sweep in journal_sweeps,
-            options=options_by_sweep.get(points[position].sweep),
+            position=lead,
+            label=f"{points[lead].sweep}[{points[lead].index}]",
+            spec=points[lead].spec,
+            journaled=points[lead].sweep in journal_sweeps,
+            options=options_by_sweep.get(points[lead].sweep),
             record_facts=True,
         )
-        for position in misses
+        for lead in copies
     ]
     outcome = run_supervised(jobs, store, fabric, chaos=campaign.chaos)
-    for position, result in outcome.results.items():
-        entries[position] = (result, outcome.facts[position])
+    for lead, result in outcome.results.items():
+        for position in copies[lead]:
+            entries[position] = (result, outcome.facts[lead])
     done = [entry for entry in entries if entry is not None]
     return CampaignRun(
         campaign=campaign,
@@ -240,7 +254,11 @@ def run_campaign(
         corrupt=(store.stats.corrupt - corrupt_before) if store is not None else 0,
         failed=[
             (points[position], error)
-            for position, error in sorted(outcome.failed.items())
+            for position, error in sorted(
+                (position, error)
+                for lead, error in outcome.failed.items()
+                for position in copies[lead]
+            )
         ],
         exhausted=outcome.exhausted,
         health=outcome.health,
@@ -292,7 +310,7 @@ def results_by_sweep(run: CampaignRun) -> PointsBySweep:
     """
     if not run.complete:
         raise ExperimentError(
-            f"campaign run is incomplete ({run.ran + run.cached} of "
+            f"campaign run is incomplete ({len(run.results)} of "
             f"{run.total} points); read the store via collect_results()"
         )
     points_by_sweep: PointsBySweep = {

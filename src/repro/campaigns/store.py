@@ -55,6 +55,23 @@ def spec_key(spec: ExperimentSpec) -> str:
     return hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()
 
 
+def encode_journal(
+    spec: ExperimentSpec, observations: tuple[Observation, ...]
+) -> bytes:
+    """The journal bytes a store keeps for ``spec``'s observation stream.
+
+    The header meta is ``{"spec", "spec_key"}``, which
+    :meth:`ResultStore.get_journal` checks against the entry key.  The
+    bytes depend only on the spec and its deterministic stream
+    (``profile`` records are excluded by the journal writer), so shards,
+    machines and fabric workers produce byte-identical files.
+    """
+    return dump_journal(
+        observations,
+        meta={"spec": spec.to_dict(), "spec_key": spec_key(spec)},
+    )
+
+
 def _payload_digest(payload: dict[str, Any]) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -311,15 +328,18 @@ class ResultStore:
     ) -> str:
         """Persist a point's observation journal atomically.
 
-        The journal's bytes depend only on the spec and its deterministic
-        stream (``profile`` records are excluded by the journal writer),
-        so shards and machines produce byte-identical files.
+        Encodes with :func:`encode_journal`, then writes as
+        :meth:`put_journal_bytes` does.
         """
-        key = spec_key(spec)
-        data = dump_journal(
-            observations,
-            meta={"spec": spec.to_dict(), "spec_key": key},
+        return self.put_journal_bytes(
+            spec_key(spec), encode_journal(spec, observations)
         )
+
+    def put_journal_bytes(self, key: str, data: bytes) -> str:
+        """Persist journal bytes already encoded by :func:`encode_journal`
+        (a fabric worker encodes its point's journal; the supervisor only
+        writes it); returns the entry location.
+        """
         location = self.backend.put("journal", key, data)
         self.stats.writes += 1
         return location

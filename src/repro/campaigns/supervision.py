@@ -55,7 +55,7 @@ from repro.campaigns.chaos import (
     corrupt_store_entry,
     max_chaos_times,
 )
-from repro.campaigns.store import ResultStore, spec_key
+from repro.campaigns.store import ResultStore, encode_journal, spec_key
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentResult, RunOptions
 from repro.experiments.specs import ExperimentSpec
@@ -225,7 +225,9 @@ class FabricJob:
     order (the executor's ``points`` list, or a sweep's spec list);
     ``label`` names it for health events (``sweep[index]``).
     ``journaled`` selects the observation-keeping worker and a journal
-    checkpoint; ``options`` overrides the per-point capture entirely (a
+    checkpoint (so it needs a store): the worker encodes the journal
+    and ships its bytes, never the stream; ``options`` overrides the
+    per-point capture entirely (a
     :class:`~repro.experiments.runner.RunOptions` from the sweep
     directive) — ``None`` derives it from ``journaled``.
     ``record_facts`` asks the worker for the point's
@@ -276,10 +278,15 @@ def _worker_chaos(chaos: tuple[ChaosSpec, ...], key: str, attempt: int):
 
 def _fabric_worker(conn, chaos: tuple[ChaosSpec, ...]) -> None:
     """Worker main loop: receive (task_id, spec, attempt, options,
-    record_facts) jobs.
+    record_facts, journaled) jobs.
 
-    Replies ``("ok", task_id, (result, facts))`` or ``("error", task_id,
-    text)``; ``facts`` is ``None`` unless the job asked for them.  Never
+    Replies ``("ok", task_id, (result, facts, journal))`` or
+    ``("error", task_id, text)``; ``facts`` is ``None`` unless the job
+    asked for them.  A journaled job's ``journal`` is the point's
+    :func:`~repro.campaigns.store.encode_journal` bytes and its
+    ``result`` carries no observations, so the stream is never pickled
+    across the pipe and the supervisor only writes the bytes; otherwise
+    ``journal`` is ``None`` and the result is the run's own.  Never
     raises out of a job: a failing point is reported, not fatal.  Chaos
     directives fire *before* the run so an injected fault costs a
     requeue, never a wasted simulation.
@@ -289,7 +296,7 @@ def _fabric_worker(conn, chaos: tuple[ChaosSpec, ...]) -> None:
             message = conn.recv()
             if message[0] == "exit":
                 return
-            _, task_id, spec, attempt, options, record_facts = message
+            _, task_id, spec, attempt, options, record_facts, journaled = message
             directive = _worker_chaos(chaos, spec_key(spec), attempt)
             if directive is not None:
                 if directive.kind == "worker_kill":
@@ -305,10 +312,14 @@ def _fabric_worker(conn, chaos: tuple[ChaosSpec, ...]) -> None:
                 # Taken after wall_time: the run left the network in this
                 # worker's topology memo, so the facts cost one diameter.
                 facts = topology_facts(spec) if record_facts else None
+                journal = None
+                if journaled:
+                    journal = encode_journal(spec, result.observations)
+                    result = dataclasses.replace(result, observations=())
             except Exception as exc:
                 conn.send(("error", task_id, f"{type(exc).__name__}: {exc}"))
                 continue
-            conn.send(("ok", task_id, (result, facts)))
+            conn.send(("ok", task_id, (result, facts, journal)))
     except (EOFError, OSError, KeyboardInterrupt):
         return
 
@@ -338,6 +349,7 @@ class _Worker:
                 task.attempt,
                 job.run_options(),
                 job.record_facts,
+                job.journaled,
             )
         )
         self.inflight = task
@@ -430,21 +442,25 @@ class _Supervisor:
         self.health.record(kind, self._label(position), attempt, detail)
 
     def _checkpoint(
-        self, position: int, attempt: int, result, facts: Facts | None
+        self,
+        position: int,
+        attempt: int,
+        result,
+        facts: Facts | None,
+        journal: bytes | None,
     ) -> bool:
         """Persist one completed point; False means corrupt → re-run.
 
-        With a store, journaled results persist their observation stream
-        first, then the summary entry (observations stripped, matching
-        the cache-hit shape) with the worker's facts beside the result.
+        Takes the worker's reply payload.  A journaled point's ``journal``
+        bytes (encoded in the worker; its ``result`` already carries no
+        observations, matching the cache-hit shape) are written first,
+        then the summary entry with the worker's facts beside the result.
         A ``store_corrupt`` chaos directive fires *after* the write so
         the self-verifying read is what catches it.
         """
         job = self.jobs[position]
-        if job.journaled and self.store is not None:
-            self.store.put_journal(result.spec, result.observations)
-        if job.journaled:
-            result = dataclasses.replace(result, observations=())
+        if journal is not None:
+            self.store.put_journal_bytes(self.keys[position], journal)
         if self.store is None:
             self.results[position] = result
             self.facts[position] = facts
@@ -693,13 +709,17 @@ def run_supervised(
     Raises :class:`ExperimentError` when a retry-consuming chaos
     directive needs more attempts than ``config.max_retries`` allows —
     that combination could never converge, and convergence (chaos run ==
-    fault-free run) is the harness's contract.
+    fault-free run) is the harness's contract — and when a job is
+    journaled but there is no store to hold its journal.
     """
     config = config or FabricConfig()
+    jobs = list(jobs)
+    if store is None and any(job.journaled for job in jobs):
+        raise ExperimentError("journaled fabric jobs need a store")
     needed = max_chaos_times(tuple(chaos))
     if needed > config.max_retries:
         raise ExperimentError(
             f"chaos needs {needed} retries per point but the fabric allows"
             f" {config.max_retries}; raise --retries or lower chaos times"
         )
-    return _Supervisor(list(jobs), store, config, tuple(chaos)).run()
+    return _Supervisor(jobs, store, config, tuple(chaos)).run()

@@ -381,17 +381,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            from repro.campaigns.store import spec_key
-            from repro.runtime.journal import write_journal
+            from repro.campaigns.store import encode_journal, spec_key
 
             os.makedirs(journal_dir, exist_ok=True)
             for result in sweep:
-                key = spec_key(result.spec)
-                write_journal(
-                    os.path.join(journal_dir, f"{key}.obs.jsonl.gz"),
-                    result.observations,
-                    meta={"spec": result.spec.to_dict(), "spec_key": key},
-                )
+                name = f"{spec_key(result.spec)}.obs.jsonl.gz"
+                with open(os.path.join(journal_dir, name), "wb") as fh:
+                    fh.write(encode_journal(result.spec, result.observations))
             print(
                 f"wrote {len(sweep)} journals under {journal_dir}/",
                 file=sys.stderr,

@@ -10,7 +10,11 @@ Format (version :data:`JOURNAL_FORMAT`):
 
 * the payload is UTF-8 JSON lines, gzip-framed with ``mtime=0`` and a
   pinned compression level so the bytes carry no timestamp or
-  zlib-version drift;
+  zlib-version drift.  The level is 6, not 9: on campaign journals
+  level 9 spends five to six times the compression time for under 2%
+  fewer bytes, and decompression costs the same at either level.  The
+  level is part of the byte contract but not of the layout, so a
+  journal written at another level still loads (same ``JOURNAL_FORMAT``);
 * line 1 is a header object ``{"format", "kind", "count", "meta"}``
   serialized with sorted keys — ``meta`` is caller-supplied context
   (the experiment spec dict and its store key, for campaign journals);
@@ -37,11 +41,12 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import ExperimentError
-from repro.runtime.observations import Observation
+from repro.runtime.observations import OBSERVATION_KINDS, Observation
 
 #: Journal schema version; bump on any incompatible layout change.
 JOURNAL_FORMAT = 1
@@ -54,11 +59,14 @@ _GZIP_MAGIC = b"\x1f\x8b"
 # Pinned framing parameters: gzip output is only byte-stable across
 # machines when the embedded mtime is fixed and the level is explicit.
 _GZIP_MTIME = 0
-_GZIP_LEVEL = 9
+_GZIP_LEVEL = 6
 
 # One shared compact encoder: ``json.dumps(..., separators=...)`` would
 # build a fresh encoder for every row.
 _encode_row = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Each kind as the compact encoder writes it, escaped once.
+_KIND_JSON = {kind: encode_basestring_ascii(kind) for kind in OBSERVATION_KINDS}
 
 
 def _encode_float(value: float) -> float | str:
@@ -68,6 +76,13 @@ def _encode_float(value: float) -> float | str:
     if math.isnan(value):
         return "nan"
     return "inf" if value > 0 else "-inf"
+
+
+def _non_finite_json(value: float) -> str:
+    """``_encode_float(value)`` as JSON text, for a non-finite value."""
+    if value != value:
+        return '"nan"'
+    return '"inf"' if value > 0 else '"-inf"'
 
 
 @dataclass(frozen=True)
@@ -108,16 +123,43 @@ def _lines(kept: list[Observation], meta: dict | None) -> Iterator[str]:
         "meta": meta if meta is not None else {},
     }
     yield json.dumps(header, sort_keys=True, separators=(",", ":"))
+    # Each row is the text ``_encode_row`` writes for ``[time, kind,
+    # node, key, ref, value]``, built in one f-string from the same
+    # primitives the C encoder uses (``float.__repr__``, ``int.__repr__``,
+    # ``encode_basestring_ascii``) at half its cost.  A node, key or ref
+    # of any other type (a bool node, say) takes the encoder itself.
+    kinds = _KIND_JSON
+    finite = math.isfinite
+    float_repr = float.__repr__
+    int_repr = int.__repr__
+    quote = encode_basestring_ascii
     for obs in kept:
-        yield _encode_row(
-            [
-                _encode_float(obs.time),
-                obs.kind,
-                obs.node,
-                obs.key,
-                obs.ref,
-                _encode_float(obs.value),
-            ]
+        time, node, key, ref, value = obs.time, obs.node, obs.key, obs.ref, obs.value
+        if node is None:
+            node_json = "null"
+        elif node.__class__ is int:
+            node_json = int_repr(node)
+        else:
+            node_json = None
+        if node_json is None or ref.__class__ is not int or key.__class__ is not str:
+            yield _encode_row(
+                [
+                    _encode_float(time),
+                    obs.kind,
+                    node,
+                    key,
+                    ref,
+                    _encode_float(value),
+                ]
+            )
+            continue
+        time_json = float_repr(float(time)) if finite(time) else _non_finite_json(time)
+        value_json = (
+            float_repr(float(value)) if finite(value) else _non_finite_json(value)
+        )
+        yield (
+            f"[{time_json},{kinds[obs.kind]},{node_json},{quote(key)},"
+            f"{int_repr(ref)},{value_json}]"
         )
 
 

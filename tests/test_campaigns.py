@@ -815,6 +815,30 @@ def test_trace_checks_require_a_journaling_sweep():
         )
 
 
+def test_point_shared_by_two_sweeps_runs_once(tmp_path):
+    """A point two sweeps share is dispatched once and fills both sweeps;
+    its job journals because one of the two sweeps does."""
+    lines = tiny_campaign().sweeps[0]
+    more = SweepDirective(
+        name="more", base=lines.base, axes={"topology.n": [7, 9]}, journal=True
+    )
+    campaign = CampaignSpec(name="shared", title="shared", sweeps=(lines, more))
+    points = expand_points(campaign)
+    shared = points[1].spec
+    assert spec_key(points[2].spec) == spec_key(shared)
+    store = ResultStore(str(tmp_path / "store"))
+    outcome = run_campaign(campaign, store)
+    assert outcome.complete and outcome.total == 4
+    assert outcome.ran == 3
+    assert outcome.health.counters["dispatched"] == 3
+    by_sweep = results_by_sweep(outcome)
+    assert by_sweep["lines"][1].result == by_sweep["more"][0].result
+    assert by_sweep["lines"][1].result.spec == shared
+    assert store.has_journal(shared)
+    again = run_campaign(campaign, store)
+    assert (again.ran, again.cached) == (0, 4)
+
+
 def test_journal_directive_degrades_without_a_store():
     campaign = journaled_campaign()
     outcome = run_campaign(campaign, store=None)

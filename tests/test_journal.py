@@ -5,6 +5,8 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,12 @@ from repro.runtime.journal import (
     unframe_journal,
     write_journal,
 )
-from repro.runtime.observations import Observation
+from repro.runtime.observations import OBSERVATION_KINDS, Observation
 from repro.sim.rng import RandomSource
+
+#: A journal of ``_spec()``'s run, written at the earlier gzip level 9
+#: with the store's ``{"spec", "spec_key"}`` meta.
+LEVEL9_JOURNAL = Path(__file__).parent / "golden" / "journal_level9.obs.jsonl.gz"
 
 
 def _spec(seed=3, **overrides):
@@ -206,7 +212,8 @@ def test_bad_row_is_located_after_good_rows():
 
 
 def test_dump_journal_bytes_are_pinned():
-    """The exact bytes of a fixed stream, as the format has always written them.
+    """The exact bytes of a fixed stream, as the format writes them at
+    gzip level 6.
 
     The stream covers every encoding edge: non-finite times and values,
     ``-0.0``, an int time and value, node-less markers, profile records,
@@ -229,12 +236,83 @@ def test_dump_journal_bytes_are_pinned():
     )
     meta = {"spec_key": "ab" * 32, "z": [1, 2.5, None], "a": {"é": "ü"}}
     digests = {
-        False: "7cd5d9c6b4b0bec3ca89dcf795b9010129b80d0d2e5c62e0b81d6e1da3439ceb",
-        True: "c029e889291e20d6371abb23ce404bc0989586427dbc41992bbeb99d67badca0",
+        False: "997115f04079c655803998f4c7f519f986db43e8a35fc75a4f4bfa3ddc3721be",
+        True: "8d8fe7826655299ee033b6f3baf025c3e9c76234f3ad04da0120fba65283cfd6",
     }
     for include_profile, digest in digests.items():
         data = dump_journal(stream, meta=meta, include_profile=include_profile)
         assert hashlib.sha256(data).hexdigest() == digest, include_profile
+
+
+def test_level9_journal_still_loads_to_the_same_stream(tmp_path):
+    """Journals written before the level moved to 6 read as before."""
+    from repro.campaigns.store import ResultStore, encode_journal, spec_key
+
+    raw = LEVEL9_JOURNAL.read_bytes()
+    spec = _spec()
+    fresh = encode_journal(spec, run(spec).observations)
+    assert raw != fresh
+    assert gzip.decompress(raw) == gzip.decompress(fresh)
+    stream = tuple(o for o in run(spec).observations if o.kind != "profile")
+    journal = read_journal(LEVEL9_JOURNAL)
+    assert journal.observations == stream
+    assert journal.meta == {"spec": spec.to_dict(), "spec_key": spec_key(spec)}
+    store = ResultStore(str(tmp_path / "store"))
+    store.put_journal_bytes(spec_key(spec), raw)
+    assert store.get_journal(spec) == journal
+
+
+# The row encoder the format was defined by, kept here as the oracle for
+# the journal writer's own row path.
+_oracle_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _oracle_float(value):
+    if math.isfinite(value):
+        return float(value)
+    if math.isnan(value):
+        return "nan"
+    return "inf" if value > 0 else "-inf"
+
+
+def _oracle_row(obs: Observation) -> str:
+    return _oracle_encode(
+        [
+            _oracle_float(obs.time),
+            obs.kind,
+            obs.node,
+            obs.key,
+            obs.ref,
+            _oracle_float(obs.value),
+        ]
+    )
+
+
+# Ints as times and values stay within float range: beyond it the
+# oracle itself cannot encode them.
+_numbers = st.floats() | st.sampled_from([0.0, -0.0]) | st.integers(
+    -(10**300), 10**300
+)
+_observations = st.builds(
+    Observation,
+    time=_numbers,
+    kind=st.sampled_from(OBSERVATION_KINDS),
+    node=st.none() | st.integers() | st.booleans(),
+    key=st.text(),
+    ref=st.integers() | st.booleans(),
+    value=_numbers,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_observations, max_size=6))
+def test_rows_are_byte_equal_to_the_json_encoder(stream):
+    """Non-finite values, ``-0.0``, int times and values, ``None`` and
+    bool nodes, large ints and non-ASCII keys all encode as the compact
+    JSON encoder writes them."""
+    lines = list(journal_lines(stream, include_profile=True))
+    expected = [_oracle_row(obs) for obs in sorted(stream, key=Observation.sort_key)]
+    assert lines[1:] == expected
 
 
 def test_write_journal_returns_the_kept_count(tmp_path):

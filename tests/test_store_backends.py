@@ -38,6 +38,8 @@ from repro.campaigns import (
     spec_key,
 )
 from repro.campaigns import store as campaign_store
+from repro.runtime import journal as journal_module
+from repro.runtime.journal import dump_journal
 from repro.campaigns.store import STORE_FORMAT, _payload_digest
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -513,6 +515,54 @@ def test_diff_entry_without_facts_still_sees_other_byte_drift(tmp_path):
     drifted = {p.key: p for p in report.points}[key]
     assert drifted.status == "metric_delta"
     assert drifted.detail == "results decode equal but entry bytes differ"
+
+
+def _journaled_tiny() -> CampaignSpec:
+    tiny = tiny_campaign()
+    sweeps = tuple(dataclasses.replace(d, journal=True) for d in tiny.sweeps)
+    return dataclasses.replace(tiny, sweeps=sweeps)
+
+
+def test_diff_reads_a_recompressed_journal_as_identical(tmp_path, monkeypatch):
+    """A store whose journals were written at gzip level 9 and one written
+    at level 6 hold different bytes but the same journals."""
+    campaign = _journaled_tiny()
+    store_b = ResultStore(str(tmp_path / "b"))
+    assert run_campaign(campaign, store_b).complete
+    monkeypatch.setattr(journal_module, "_GZIP_LEVEL", 9)
+    store_a = ResultStore(str(tmp_path / "a"))
+    assert run_campaign(campaign, store_a).complete
+    for point in expand_points(campaign):
+        key = spec_key(point.spec)
+        assert store_a.backend.get("journal", key) != store_b.backend.get(
+            "journal", key
+        )
+    report = diff_campaign(campaign, store_a, store_b)
+    assert report.ok
+    assert [p.status for p in report.points] == ["identical", "identical"]
+
+
+def test_diff_reports_a_changed_journal_row_as_journal_delta(tmp_path):
+    campaign = _journaled_tiny()
+    store_a = ResultStore(str(tmp_path / "a"))
+    store_b = ResultStore(str(tmp_path / "b"))
+    assert run_campaign(campaign, store_a).complete
+    assert run_campaign(campaign, store_b).complete
+    point = expand_points(campaign)[0]
+    key = spec_key(point.spec)
+    journal = store_b.get_journal(point.spec)
+    first = journal.observations[0]
+    changed = (dataclasses.replace(first, time=first.time + 0.5),)
+    store_b.backend.put(
+        "journal",
+        key,
+        dump_journal(changed + journal.observations[1:], meta=journal.meta),
+    )
+    report = diff_campaign(campaign, store_a, store_b)
+    drifted = {p.key: p for p in report.points}[key]
+    assert drifted.status == "journal_delta"
+    assert drifted.detail == "journal header or stream differs"
+    assert report.counts["identical"] == 1
 
 
 def test_diff_reports_differing_facts_as_metric_delta(tmp_path):

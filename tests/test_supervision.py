@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
+from multiprocessing import Pipe
 
 import pytest
 
@@ -26,23 +28,28 @@ from repro.campaigns import (
     run_campaign,
     write_artifacts,
 )
+from repro.campaigns.store import encode_journal, spec_key
 from repro.campaigns.supervision import (
     INTERRUPT_EXIT,
     RESUMABLE_EXIT,
     FabricHealth,
     FabricJob,
+    _fabric_worker,
     run_supervised,
 )
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
+    run,
     run_sweep,
 )
 from repro.experiments.substrates import topology_facts
+from repro.runtime.journal import dump_journal
 
 
 def _line_spec(n: int, seed: int = 0, nodes=None) -> ExperimentSpec:
@@ -280,6 +287,78 @@ def test_results_by_sweep_refuses_partial_runs(tmp_path):
     )
     with pytest.raises(ExperimentError, match="incomplete"):
         results_by_sweep(outcome)
+
+
+# ----------------------------------------------------------------------
+# Worker-side journals
+# ----------------------------------------------------------------------
+def _journaled_smoke(chaos=()):
+    campaign = build_campaign("smoke", points=4)
+    sweeps = tuple(dataclasses.replace(d, journal=True) for d in campaign.sweeps)
+    return dataclasses.replace(campaign, sweeps=sweeps, chaos=tuple(chaos))
+
+
+def test_fabric_journal_equals_in_process_dump(tmp_path):
+    """A journal a fabric worker encodes is byte for byte ``dump_journal``
+    of the same spec run in-process, with the checkpoint's meta."""
+    spec = _line_spec(6)
+    key = spec_key(spec)
+    store = ResultStore(str(tmp_path / "store"))
+    outcome = run_supervised([FabricJob(0, "j[0]", spec, journaled=True)], store)
+    assert outcome.results[0].observations == ()
+    expected = dump_journal(
+        run(spec, RunOptions.observed()).observations,
+        meta={"spec": spec.to_dict(), "spec_key": key},
+    )
+    assert store.backend.get("journal", key) == expected
+
+
+def test_journaled_reply_carries_journal_bytes_not_observations():
+    """The worker's reply to a journaled job holds the journal's bytes
+    and a result without observations; an unjournaled observed job's
+    reply holds the stream and no bytes."""
+    supervisor_end, worker_end = Pipe()
+    worker = threading.Thread(target=_fabric_worker, args=(worker_end, ()))
+    worker.start()
+    spec = _line_spec(6)
+    options = RunOptions.observed()
+    try:
+        supervisor_end.send(("run", 1, spec, 0, options, False, True))
+        status, task_id, (result, facts, journal) = supervisor_end.recv()
+        supervisor_end.send(("run", 2, spec, 0, options, False, False))
+        _, _, (observed, _, no_journal) = supervisor_end.recv()
+    finally:
+        supervisor_end.send(("exit",))
+        worker.join()
+    assert (status, task_id, facts) == ("ok", 1, None)
+    assert result.observations == ()
+    assert observed.observations and no_journal is None
+    assert result == observed
+    assert journal == encode_journal(spec, observed.observations)
+
+
+def test_journaled_jobs_need_a_store():
+    with pytest.raises(ExperimentError, match="need a store"):
+        run_supervised([FabricJob(0, "j[0]", _line_spec(5), journaled=True)], None)
+
+
+def test_journaled_chaos_run_on_two_workers_equals_one_worker(tmp_path):
+    """Journals and summaries written by two workers under kills and
+    store corruption are the bytes one fault-free worker writes."""
+    reference = ResultStore(str(tmp_path / "ref"))
+    assert run_campaign(_journaled_smoke(), reference).complete
+    chaos = (
+        ChaosSpec("worker_kill", fraction=0.5, seed=1),
+        ChaosSpec("store_corrupt", fraction=0.5, seed=1),
+    )
+    store = ResultStore(str(tmp_path / "chaos"))
+    outcome = run_campaign(
+        _journaled_smoke(chaos), store, fabric=FabricConfig(workers=2)
+    )
+    assert outcome.complete and outcome.health.anomalies()
+    found = _store_bytes(store.root)
+    assert any(name.endswith(".obs.jsonl.gz") for name in found)
+    assert found == _store_bytes(reference.root)
 
 
 # ----------------------------------------------------------------------
