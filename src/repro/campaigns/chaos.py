@@ -18,8 +18,9 @@ Fault kinds:
     the pipe close, respawns the worker, and requeues the point.
 ``point_hang``
     The worker sleeps ``seconds`` before running the point, simulating a
-    wedged simulation.  Recovered by the supervisor's per-point timeout
-    or by work-stealing (a duplicate dispatch on an idle worker).
+    wedged simulation.  Recovered only by the supervisor's per-point
+    timeout, which kills the worker and retries the point, so the
+    supervisor rejects a hang directive when no timeout is set.
 ``transient_error``
     The worker reports a synthetic exception for the point, exercising
     the bounded-retry/backoff path.
@@ -51,7 +52,7 @@ __all__ = [
 CHAOS_KINDS = ("worker_kill", "point_hang", "transient_error", "store_corrupt")
 
 #: Default hang duration — long enough that a hung point can only complete
-#: through supervisor intervention (timeout kill or work-stealing).
+#: through the supervisor's per-point timeout (kill and retry).
 DEFAULT_HANG_SECONDS = 3600.0
 
 
@@ -121,14 +122,13 @@ def chaos_fraction_hits(seed: int, kind: str, spec_key: str, fraction: float) ->
 
 
 def max_chaos_times(chaos: tuple[ChaosSpec, ...]) -> int:
-    """Largest ``times`` across retry-consuming directives (0 when none).
+    """Largest ``times`` across the directives (0 when none).
 
-    ``point_hang`` is excluded: a hang is recovered by timeout or
-    stealing, and the recovery dispatch carries a higher attempt number
-    anyway, so it cannot loop forever even with ``times`` large.
+    Every kind costs one retry per hit attempt: a kill, an error and a
+    corrupt checkpoint each requeue the point, and a hang is ended by the
+    per-point timeout, which kills the worker and requeues it too.
     """
-    retrying = [c.times for c in chaos if c.kind != "point_hang"]
-    return max(retrying, default=0)
+    return max((c.times for c in chaos), default=0)
 
 
 def corrupt_store_entry(store, key: str, seed: int) -> None:

@@ -5,12 +5,12 @@ flat point list (sweeps in listed order, grid order within each), assigns
 points to shards round-robin by global index, and hands each shard's
 missing points to the supervised fabric
 (:mod:`repro.campaigns.supervision`): a work-queue supervisor dispatches
-points to a pool of worker processes with per-point timeouts, bounded
-deterministic-backoff retries, straggler work-stealing, and wall-clock /
-point budgets — every completed point lands in the
-:class:`~repro.campaigns.store.ResultStore` before the next is handed
-out, so an interrupted campaign loses at most the in-flight points and
-``run`` twice is a 100%-cache-hit no-op.
+points to a pool of worker processes with per-point timeouts (the one
+recovery for a hung point: kill its worker and retry), bounded
+deterministic-backoff retries, and wall-clock / point budgets — every
+completed point lands in the :class:`~repro.campaigns.store.ResultStore`
+before the next is handed out, so an interrupted campaign loses at most
+the in-flight points and ``run`` twice is a 100%-cache-hit no-op.
 
 Execution and verdicts are decoupled: :func:`run_campaign` computes and
 checkpoints, :func:`collect_results` reads a (possibly multi-shard) store
@@ -184,8 +184,8 @@ def run_campaign(
             of its shard, enabling one campaign to span CI jobs/machines
             over a shared (or later-merged) store.
         fabric: Supervision policy (worker count, timeouts, retries,
-            backoff, stealing, budgets).  Defaults to ``FabricConfig()``
-            (one worker).
+            backoff, budgets).  Defaults to ``FabricConfig()`` (one
+            worker, no timeout).
 
     Returns:
         The :class:`CampaignRun` for this shard.

@@ -13,16 +13,14 @@ measures do:
   A dead worker is detected by pipe EOF, respawned, and its point
   requeued.
 * **Per-point wall-clock timeouts** — a point that exceeds
-  ``point_timeout`` gets its worker killed and is requeued.
+  ``point_timeout`` gets its worker killed and is requeued.  This is the
+  only recovery for a hung point: every point is a deterministic
+  function of its spec, so a second copy of a slow point would do the
+  same work from a later start and could never finish first.
 * **Bounded retries with deterministic exponential backoff** — the
   retry delay is derived from the spec key and attempt number (hashed,
   not sampled from wall clock), so a rerun of the same campaign retries
   on the same schedule.
-* **Straggler detection with work-stealing** — once enough points have
-  completed to estimate a typical runtime, an in-flight point running
-  ``straggler_factor``× longer than the median is duplicated onto an
-  idle worker; whichever copy finishes first wins and the loser is
-  discarded.
 * **Campaign-level budgets** — ``wall_budget`` (seconds) and
   ``point_budget`` (points executed this invocation) stop dispatching
   when exhausted.  Everything completed is already checkpointed
@@ -36,9 +34,9 @@ without a store and without retries.
 
 Faults are injected deterministically by :mod:`repro.campaigns.chaos`;
 because injected faults stop firing after ``times`` attempts and the
-supervisor validates ``times <= max_retries``, a chaos run converges to
-byte-identical store contents and merged artifacts versus a fault-free
-run — which CI checks.
+supervisor validates ``times <= max_retries`` (and a ``point_timeout``
+for hangs), a chaos run converges to byte-identical store contents and
+merged artifacts versus a fault-free run — which CI checks.
 """
 
 from __future__ import annotations
@@ -91,6 +89,11 @@ _CHAOS_KILL_EXIT = 137
 #: Bound on the retained per-event history (counters are never bounded).
 MAX_EVENTS = 200
 
+#: Seconds the supervisor waits for a reply before it checks timeouts and
+#: backoff again.  A reply wakes it at once, so this only sets how finely
+#: those deadlines are observed.
+POLL_INTERVAL = 0.05
+
 #: Counter names in render order.  ``dispatched``/``completed`` describe
 #: normal progress; everything after is an anomaly.
 _COUNTERS = (
@@ -99,11 +102,9 @@ _COUNTERS = (
     "retried",
     "timeouts",
     "worker_deaths",
-    "steals",
     "transient_errors",
     "corrupt_rewrites",
     "gave_up",
-    "discarded_duplicates",
 )
 _ANOMALIES = _COUNTERS[2:]
 
@@ -113,19 +114,17 @@ class FabricConfig:
     """Supervision policy for one campaign invocation.
 
     Everything is optional: the defaults supervise without timeouts or
-    budgets, retry up to ``max_retries`` times, and steal work from
-    stragglers once ``straggler_min_done`` points have completed.
+    budgets and retry up to ``max_retries`` times.  Without a
+    ``point_timeout`` a hung point is never recovered, since nothing else
+    can end it.
     """
 
     workers: int = 1
     point_timeout: float | None = None
     max_retries: int = 3
     backoff_base: float = 0.05
-    straggler_factor: float = 4.0
-    straggler_min_done: int = 3
     wall_budget: float | None = None
     point_budget: int | None = None
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -142,14 +141,6 @@ class FabricConfig:
             raise ExperimentError(
                 f"fabric point_timeout must be > 0, got {self.point_timeout}"
             )
-        if self.straggler_factor <= 1.0:
-            raise ExperimentError(
-                f"fabric straggler_factor must be > 1, got {self.straggler_factor}"
-            )
-        if self.straggler_min_done < 1:
-            raise ExperimentError(
-                f"fabric straggler_min_done must be >= 1, got {self.straggler_min_done}"
-            )
         if self.wall_budget is not None and self.wall_budget < 0:
             raise ExperimentError(
                 f"fabric wall_budget must be >= 0, got {self.wall_budget}"
@@ -157,10 +148,6 @@ class FabricConfig:
         if self.point_budget is not None and self.point_budget < 0:
             raise ExperimentError(
                 f"fabric point_budget must be >= 0, got {self.point_budget}"
-            )
-        if self.poll_interval <= 0:
-            raise ExperimentError(
-                f"fabric poll_interval must be > 0, got {self.poll_interval}"
             )
 
 
@@ -406,8 +393,6 @@ class _Supervisor:
             _Pending(job.position, 0, 0.0) for job in jobs
         )
         self.workers: list[_Worker] = []
-        self.stolen: set[int] = set()
-        self.runtimes: list[float] = []
         self.task_seq = 0
         self.started = time.monotonic()
 
@@ -416,16 +401,11 @@ class _Supervisor:
     def _label(self, position: int) -> str:
         return self.jobs[position].label
 
-    def _settled(self, position: int) -> bool:
-        return position in self.results or position in self.failed
-
     def _open_points(self) -> int:
         return len(self.jobs) - len(self.results) - len(self.failed)
 
     def _requeue(self, position: int, attempt: int, kind: str, detail: str) -> None:
         """Retry ``position`` after a fault on ``attempt``, or give up."""
-        if self._settled(position):
-            return
         next_attempt = attempt + 1
         if next_attempt > self.config.max_retries:
             self.failed[position] = detail or kind
@@ -503,10 +483,6 @@ class _Supervisor:
         worker.inflight = None
         if task is None or task.task_id != task_id:
             return
-        if self._settled(task.position):
-            self.health.count("discarded_duplicates")
-            return
-        elapsed = time.monotonic() - task.started
         if status == "ok":
             try:
                 checkpointed = self._checkpoint(task.position, task.attempt, *payload)
@@ -520,7 +496,6 @@ class _Supervisor:
                 self._requeue(task.position, task.attempt, "store_error", str(exc))
                 return
             if checkpointed:
-                self.runtimes.append(elapsed)
                 self.health.count("completed")
             else:
                 self._requeue(
@@ -548,9 +523,7 @@ class _Supervisor:
         busy = [w for w in self.workers if w.inflight is not None]
         if not busy:
             return
-        ready = connection.wait(
-            [w.conn for w in busy], timeout=self.config.poll_interval
-        )
+        ready = connection.wait([w.conn for w in busy], timeout=POLL_INTERVAL)
         for worker in busy:
             if worker.conn not in ready:
                 continue
@@ -590,8 +563,6 @@ class _Supervisor:
         deferred: list[_Pending] = []
         while self.pending and idle:
             entry = self.pending.popleft()
-            if self._settled(entry.position):
-                continue
             if entry.ready_at > now:
                 deferred.append(entry)
                 continue
@@ -608,41 +579,6 @@ class _Supervisor:
                 continue
             self.health.count("dispatched")
         self.pending.extend(deferred)
-        if idle:
-            self._steal(idle, now)
-
-    def _steal(self, idle: list[_Worker], now: float) -> None:
-        """Duplicate the slowest straggler onto an idle worker."""
-        if len(self.runtimes) < self.config.straggler_min_done:
-            return
-        ordered = sorted(self.runtimes)
-        median = ordered[len(ordered) // 2]
-        floor = 4 * self.config.poll_interval
-        threshold = max(self.config.straggler_factor * median, floor)
-        inflight = sorted(
-            (w.inflight for w in self.workers if w.inflight is not None),
-            key=lambda t: t.started,
-        )
-        for task in inflight:
-            if not idle:
-                return
-            if now - task.started <= threshold or task.position in self.stolen:
-                continue
-            if self._settled(task.position):
-                continue
-            worker = idle.pop()
-            self.task_seq += 1
-            duplicate = _InFlight(self.task_seq, task.position, task.attempt + 1, now)
-            worker.dispatch(duplicate, self.jobs[task.position])
-            self.stolen.add(task.position)
-            self.health.count("dispatched")
-            self.health.count("steals")
-            self.health.record(
-                "steal",
-                self._label(task.position),
-                task.attempt,
-                f"straggler after {now - task.started:.2f}s; re-dispatched",
-            )
 
     def _check_budgets(self) -> bool:
         """True when a budget is exhausted and dispatching must stop."""
@@ -689,7 +625,7 @@ class _Supervisor:
                     now = time.monotonic()
                     wake = min(entry.ready_at for entry in self.pending)
                     if wake > now:
-                        time.sleep(min(wake - now, self.config.poll_interval))
+                        time.sleep(min(wake - now, POLL_INTERVAL))
         finally:
             for worker in self.workers:
                 worker.shutdown(kill=worker.inflight is not None)
@@ -706,16 +642,22 @@ def run_supervised(
 ) -> FabricOutcome:
     """Run ``jobs`` under supervision; every completion is checkpointed.
 
-    Raises :class:`ExperimentError` when a retry-consuming chaos
-    directive needs more attempts than ``config.max_retries`` allows —
-    that combination could never converge, and convergence (chaos run ==
-    fault-free run) is the harness's contract — and when a job is
-    journaled but there is no store to hold its journal.
+    Raises :class:`ExperimentError` when a chaos directive needs more
+    attempts than ``config.max_retries`` allows, or is a ``point_hang``
+    without a ``config.point_timeout`` to end it — neither combination
+    could converge, and convergence (chaos run == fault-free run) is the
+    harness's contract — and when a job is journaled but there is no
+    store to hold its journal.
     """
     config = config or FabricConfig()
     jobs = list(jobs)
     if store is None and any(job.journaled for job in jobs):
         raise ExperimentError("journaled fabric jobs need a store")
+    if config.point_timeout is None and any(c.kind == "point_hang" for c in chaos):
+        raise ExperimentError(
+            "chaos point_hang needs a point timeout: only the timeout ends a"
+            " hung point; set --timeout"
+        )
     needed = max_chaos_times(tuple(chaos))
     if needed > config.max_retries:
         raise ExperimentError(

@@ -551,7 +551,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             point_timeout=args.timeout,
             max_retries=args.retries,
             backoff_base=args.backoff,
-            straggler_factor=args.straggler_factor,
             wall_budget=args.wall_budget,
             point_budget=args.point_budget,
         )
@@ -1099,7 +1098,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock timeout: an over-budget point's worker "
-        "is killed and the point retried",
+        "is killed and the point retried; the only way a hung point ends "
+        "(--chaos point_hang needs it)",
     )
     p_campaign.add_argument(
         "--retries",
@@ -1115,14 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="retry backoff base; the exponential schedule is hashed from "
         "the spec key (not wall clock) so reruns retry identically",
-    )
-    p_campaign.add_argument(
-        "--straggler-factor",
-        type=float,
-        default=4.0,
-        metavar="X",
-        help="work-steal an in-flight point onto an idle worker once it "
-        "runs X times the median point runtime",
     )
     p_campaign.add_argument(
         "--wall-budget",
@@ -1337,7 +1329,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             "`repro campaign resume` continues a campaign",
             file=sys.stderr,
         )
-        return 130
+        from repro.campaigns.supervision import INTERRUPT_EXIT
+
+        return INTERRUPT_EXIT
     except BrokenPipeError:
         # A downstream consumer (head, jq, ...) closed the pipe early;
         # that truncates our output but is not an error on our side.

@@ -241,6 +241,14 @@ def test_campaign_chaos_needing_too_many_retries_is_a_clean_error(
     assert "retries" in err
 
 
+def test_campaign_point_hang_without_timeout_is_a_clean_error(tmp_path, capsys):
+    hang = "point_hang:fraction=0.5,seconds=0.1"
+    status = main(_smoke_args(tmp_path, "c", "--chaos", hang))
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "error: chaos point_hang needs a point timeout" in err
+
+
 def test_campaign_shard_error_names_the_valid_range(tmp_path, capsys):
     status = main(
         [
@@ -422,10 +430,12 @@ def test_campaign_run_sigint_checkpoints_then_resumes(tmp_path):
     # seed=6 deterministically hangs exactly one later point (never the
     # first), so the run checkpoints some entries and then wedges until
     # the signal arrives — no timing race on "was it still running?".
+    # The timeout a hang needs is set past the hang's own length.
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "campaign", "run", "smoke",
             "--chaos", "point_hang:fraction=0.4,seconds=300,seed=6",
+            "--timeout", "600",
             "--store", str(store),
             "--artifacts", str(tmp_path / "artifacts"),
             "--no-report",

@@ -400,7 +400,7 @@ def test_supervisor_requeues_point_when_checkpoint_fails(tmp_path):
     outcome = run_campaign(
         tiny_campaign(),
         store,
-        fabric=FabricConfig(workers=1, backoff_base=0.0, poll_interval=0.005),
+        fabric=FabricConfig(workers=1, backoff_base=0.0),
     )
     assert outcome.complete
     assert outcome.health.counters.get("transient_errors", 0) >= 1
@@ -412,7 +412,7 @@ def test_supervisor_requeues_point_when_checkpoint_fails(tmp_path):
 def test_chaos_store_corrupt_through_http_converges(http_store, tmp_path):
     url, root = http_store
     campaign = tiny_campaign()
-    fabric = FabricConfig(workers=1, backoff_base=0.0, poll_interval=0.005)
+    fabric = FabricConfig(workers=1, backoff_base=0.0)
     reference = ResultStore(str(tmp_path / "ref"))
     assert run_campaign(campaign, reference, fabric=fabric).complete
     chaotic = dataclasses.replace(

@@ -48,7 +48,7 @@ from repro.experiments import (
     run,
     run_sweep,
 )
-from repro.experiments.substrates import topology_facts
+from repro.experiments.substrates import smoke_spec, topology_facts
 from repro.runtime.journal import dump_journal
 
 
@@ -147,8 +147,6 @@ def test_fabric_config_validation():
     with pytest.raises(ExperimentError):
         FabricConfig(point_timeout=0.0)
     with pytest.raises(ExperimentError):
-        FabricConfig(straggler_factor=1.0)
-    with pytest.raises(ExperimentError):
         FabricConfig(point_budget=-1)
 
 
@@ -157,13 +155,23 @@ def test_chaos_needing_more_retries_than_allowed_is_rejected():
     chaos = (ChaosSpec("transient_error", times=5),)
     with pytest.raises(ExperimentError, match="retries"):
         run_supervised(_jobs(1), None, FabricConfig(max_retries=2), chaos)
-    # point_hang is exempt: recovered by timeout/steal, not by retries.
-    run_supervised(
-        (),
-        None,
-        FabricConfig(max_retries=0),
-        (ChaosSpec("point_hang", times=5),),
-    )
+    # point_hang counts too: each hung attempt ends in a timeout, and
+    # every timeout costs a retry.
+    with pytest.raises(ExperimentError, match="retries"):
+        run_supervised(
+            _jobs(1),
+            None,
+            FabricConfig(max_retries=1, point_timeout=0.3),
+            (ChaosSpec("point_hang", fraction=1.0, times=2),),
+        )
+
+
+def test_point_hang_without_a_timeout_is_rejected():
+    """Only the per-point timeout ends a hang, so a hang needs one — even
+    a hang short enough to end on its own."""
+    chaos = (ChaosSpec("point_hang", fraction=1.0, seconds=0.1),)
+    with pytest.raises(ExperimentError, match="point timeout"):
+        run_supervised(_jobs(1), None, FabricConfig(), chaos)
 
 
 # ----------------------------------------------------------------------
@@ -445,27 +453,23 @@ def test_all_chaos_kinds_together_converge_byte_identically(tmp_path):
     )
 
 
-def test_work_stealing_rescues_a_straggler(tmp_path):
-    """A hung point with no timeout is rescued by a duplicate dispatch."""
-    # seed=6 deterministically hangs exactly one point (position 4), so
-    # the other workers keep completing and a steal is the only way out.
-    chaos = (ChaosSpec("point_hang", fraction=0.4, seconds=60.0, seed=6),)
-    campaign = dataclasses.replace(
-        build_campaign("smoke", points=6), chaos=chaos
+def test_slow_point_is_dispatched_once():
+    """A point that is only slow runs once: nothing duplicates it while
+    the other worker drains the quick points and sits idle."""
+    slow = ExperimentSpec(
+        name="slow",
+        topology=TopologySpec("line", {"n": 1500}),
+        scheduler=SchedulerSpec("worstcase"),
+        workload=WorkloadSpec("single_source", {"node": 0, "count": 16}),
+        model=ModelSpec(fack=20.0, fprog=1.0),
     )
-    config = FabricConfig(
-        workers=2,
-        straggler_factor=2.0,
-        straggler_min_done=2,
-        poll_interval=0.02,
-    )
-    store = ResultStore(str(tmp_path / "s"))
-    outcome = run_campaign(campaign, store, fabric=config)
-    assert outcome.complete and not outcome.failed
-    assert outcome.health.counters["steals"] >= 1
-    reference = ResultStore(str(tmp_path / "ref"))
-    run_campaign(build_campaign("smoke", points=6), reference)
-    assert _store_bytes(store.root) == _store_bytes(reference.root)
+    quick = [smoke_spec("standard", seed=seed) for seed in range(8)]
+    jobs = [FabricJob(i, f"p[{i}]", spec) for i, spec in enumerate([slow, *quick])]
+    outcome = run_supervised(jobs, None, FabricConfig(workers=2))
+    assert not outcome.failed and len(outcome.results) == len(jobs)
+    counters = outcome.health.counters
+    assert counters["dispatched"] == counters["completed"] == len(jobs)
+    assert not outcome.health.anomalies()
 
 
 # ----------------------------------------------------------------------
