@@ -1,9 +1,8 @@
 """Least-squares scaling fits for campaign series.
 
 Pure python on purpose: ``repro.analysis`` sits on the package import
-path, and numpy is an optional extra (the ``vectorized`` reception
-engine's) — a degree-1 least-squares fit needs nothing beyond
-``math.fsum``.
+path, and the package depends on nothing numeric — a degree-1
+least-squares fit needs nothing beyond ``math.fsum``.
 """
 
 from __future__ import annotations

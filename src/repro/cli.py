@@ -5,8 +5,7 @@ Subcommands:
 * ``info`` — generate a topology, print its summary, and list the
   experiment registries.
 * ``registry`` — list every registered topology, scheduler, algorithm,
-  MAC layer, workload, arrival process, fault scenario, substrate, and
-  reception engine.
+  MAC layer, workload, arrival process, fault scenario, and substrate.
 * ``bmmb`` — run BMMB on a generated topology with a chosen scheduler and
   print completion vs the paper's bound.
 * ``fmmb`` — run FMMB on a grey-zone network and print per-subroutine
@@ -95,7 +94,6 @@ from repro.experiments.overrides import (
 )
 from repro.mac.axioms import check_axioms
 from repro.mac.schedulers import ChokeAdversary, GreyZoneAdversary
-from repro.radio import RECEPTION_ENGINES
 from repro.runtime.runner import run_standard
 from repro.topology.adversarial import choke_star_network, parallel_lines_network
 from repro.topology.metrics import summarize
@@ -124,7 +122,6 @@ _REGISTRIES = (
     ("arrival", ARRIVALS),
     ("fault", FAULTS),
     ("substrate", SUBSTRATES),
-    ("engine", RECEPTION_ENGINES),
 )
 
 
@@ -135,18 +132,8 @@ def _substrate_capabilities(substrate) -> str:
         flags.append("faults")
     if substrate.supports_arrivals:
         flags.append("arrivals")
-    if getattr(substrate, "supports_reception_engines", False):
-        flags.append("engines")
     flags.append(f"scheduler={substrate.scheduler_role}")
     return ",".join(flags)
-
-
-def _engine_capabilities(engine) -> str:
-    """Compact availability summary for a reception engine row."""
-    if not engine.requires:
-        return "pure-python"
-    state = "available" if engine.available() else "unavailable"
-    return f"requires={engine.requires},{state}"
 
 
 def _substrate_doc(substrate) -> str:
@@ -223,10 +210,6 @@ def cmd_registry(args: argparse.Namespace) -> int:
                 substrate = registry.get(name)
                 row["capabilities"] = _substrate_capabilities(substrate)
                 row["description"] = _substrate_doc(substrate)
-            if label == "engine":
-                engine = registry.get(name)
-                row["capabilities"] = _engine_capabilities(engine)
-                row["description"] = engine.describe()
             rows.append(row)
     print(render_table(rows, title="registered experiment components"))
     return 0

@@ -393,8 +393,15 @@ register_mac("sinr")(sinr_mac_layer)
 # ----------------------------------------------------------------------
 @register_workload("one_each")
 def _build_one_each(dual, rng, k: int = 1, nodes=None, prefix: str = "m"):
-    chosen = list(nodes) if nodes is not None else list(dual.nodes[:k])
-    return MessageAssignment.one_each(chosen, prefix)
+    if nodes is None:
+        nodes = dual.nodes
+        if k > len(nodes):
+            raise ExperimentError(
+                f"one_each: k={k} messages need k distinct nodes, but the "
+                f"network has n={len(nodes)}"
+            )
+        nodes = nodes[:k]
+    return MessageAssignment.one_each(list(nodes), prefix)
 
 
 @register_workload("single_source")

@@ -137,13 +137,10 @@ class ModelSpec:
         max_events: Simulator event budget.
         params: Substrate-specific extras (e.g. ``max_slots``,
             ``slot_duration``, ``adaptive`` for the radio substrate).
-        engine: Reception-engine key for radio-family substrates
-            (``reference``, ``vectorized``, or ``auto``; see
-            :data:`repro.radio.engines.RECEPTION_ENGINES`).  All engines
-            compute identical receptions from the same seed, so this field
-            selects an implementation, never an outcome.  Serialization
-            omits the default, keeping existing spec JSON (and every
-            store/journal keyed on it) byte-identical.
+
+    Each radio model has one reception pass, so there is nothing to
+    select: :meth:`from_dict` accepts a stored ``"engine": "reference"``
+    and rejects any other engine.
     """
 
     fack: Time = 20.0
@@ -152,7 +149,6 @@ class ModelSpec:
     max_time: Time | None = None
     max_events: int = 50_000_000
     params: dict[str, Any] = field(default_factory=dict)
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
         if self.fack <= 0 or self.fprog <= 0:
@@ -167,7 +163,7 @@ class ModelSpec:
         object.__setattr__(self, "params", _params_dict(self.params))
 
     def to_dict(self) -> dict[str, Any]:
-        data = {
+        return {
             "fack": self.fack,
             "fprog": self.fprog,
             "mac": self.mac,
@@ -175,12 +171,15 @@ class ModelSpec:
             "max_events": self.max_events,
             "params": dict(self.params),
         }
-        if self.engine != "reference":
-            data["engine"] = self.engine
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ModelSpec":
+        engine = data.get("engine", "reference")
+        if engine != "reference":
+            raise ExperimentError(
+                f"model.engine {engine!r}: reception engines are gone; each "
+                "radio model has one reception pass, so drop model.engine"
+            )
         return cls(
             fack=data.get("fack", 20.0),
             fprog=data.get("fprog", 1.0),
@@ -188,7 +187,6 @@ class ModelSpec:
             max_time=data.get("max_time"),
             max_events=data.get("max_events", 50_000_000),
             params=data.get("params"),
-            engine=data.get("engine", "reference"),
         )
 
 

@@ -442,7 +442,6 @@ class Substrate(Protocol):
     name: str
     supports_faults: bool
     supports_arrivals: bool
-    supports_reception_engines: bool
     scheduler_role: str
 
     def prepare(self, ctx: ExecutionContext) -> Execution:
@@ -468,9 +467,6 @@ class SubstrateBase:
     supports_faults: bool = True
     #: Whether timed arrival schedules (vs time-0 assignments) are legal.
     supports_arrivals: bool = False
-    #: Whether ``spec.model.engine`` selects a reception engine (radio
-    #: family only — other substrates have no slot-reception loop).
-    supports_reception_engines: bool = False
     #: How message timing is decided: ``explicit`` (the spec's scheduler),
     #: ``seeded`` (engine-owned scheduler derived from the seed), or
     #: ``emergent`` (contention in the engine is the scheduler).
@@ -486,7 +482,6 @@ class SubstrateBase:
         return {
             "supports_faults": self.supports_faults,
             "supports_arrivals": self.supports_arrivals,
-            "supports_reception_engines": self.supports_reception_engines,
             "scheduler_role": self.scheduler_role,
         }
 
@@ -577,25 +572,6 @@ def check_capabilities(spec: ExperimentSpec, substrate: Substrate) -> None:
             f"{spec.fault.kind!r}; drop the fault or pick a fault-capable "
             "substrate"
         )
-    engine = spec.model.engine
-    if engine != "reference":
-        # Deferred: repro.radio.engines is import-light, but keeping the
-        # dependency out of module scope mirrors the registry-at-use-time
-        # policy above.
-        from repro.radio.engines import AUTO_ENGINE, RECEPTION_ENGINES
-
-        if engine != AUTO_ENGINE and engine not in RECEPTION_ENGINES:
-            known = ", ".join([AUTO_ENGINE] + RECEPTION_ENGINES.names())
-            raise ExperimentError(
-                f"unknown reception engine {engine!r}; one of {known}"
-            )
-        if not getattr(substrate, "supports_reception_engines", False):
-            raise ExperimentError(
-                f"substrate {substrate.name!r} has no slot-reception loop "
-                f"(supports_reception_engines=False), but the spec selects "
-                f"reception engine {engine!r}; drop model.engine or pick a "
-                "radio-family substrate"
-            )
 
 
 def check_workload_capability(
@@ -923,7 +899,6 @@ class RadioSubstrate(SubstrateBase):
 
     supports_faults = True
     supports_arrivals = True
-    supports_reception_engines = True
     scheduler_role = "emergent"
     #: MAC registry key the adapter is built from; the ``sinr`` subclass
     #: swaps the reception model by naming a different entry.
@@ -938,11 +913,6 @@ class RadioSubstrate(SubstrateBase):
         engine = ctx.fault_engine()
         if engine is not None:
             params["fault_engine"] = engine
-        if spec.model.engine != "reference":
-            # Only forwarded when non-default so historical call shapes
-            # (and any third-party MAC entry without the kwarg) are
-            # untouched by the engine API.
-            params["engine"] = spec.model.engine
         layer = MACS.get(self.mac_key)(dual, ctx.stream("radio"), **params)
         automata = {node: factory(node) for node in dual.nodes}
         for node, automaton in automata.items():

@@ -27,21 +27,13 @@ the paper's footnote 2 motivates it:
   embedded topology, after the local broadcast layer of Halldórsson,
   Holzer & Lynch.  :func:`sinr_mac_layer` plugs it under the unchanged
   :class:`RadioMACLayer`, backing the ``sinr`` experiment substrate.
-* :mod:`~repro.radio.engines` — the :data:`RECEPTION_ENGINES` registry of
-  interchangeable slot-reception implementations: ``reference`` (pure
-  python; a transmitter-driven collision pass) and ``vectorized``
-  (numpy-batched; identical receptions, selected via
-  ``ModelSpec.engine``).
+
+Each reception model has one pure-python pass, driven by the slot's
+transmitters: the collision pass costs O(Σ transmitter degree) per slot,
+the SINR pass O(audible listeners × senders).
 """
 
 from repro.radio.decay import DecaySchedule
-from repro.radio.engines import (
-    RECEPTION_ENGINES,
-    ReceptionEngine,
-    engine_names,
-    numpy_available,
-    resolve_engine,
-)
 from repro.radio.mac_adapter import EmpiricalBounds, RadioMACLayer
 from repro.radio.sinr import SINRRadioNetwork, sinr_mac_layer
 from repro.radio.slotted import SlottedRadioNetwork
@@ -53,9 +45,4 @@ __all__ = [
     "DecaySchedule",
     "RadioMACLayer",
     "EmpiricalBounds",
-    "RECEPTION_ENGINES",
-    "ReceptionEngine",
-    "engine_names",
-    "numpy_available",
-    "resolve_engine",
 ]

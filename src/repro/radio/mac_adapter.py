@@ -3,8 +3,10 @@
 This adapter provides the same programming surface as
 :class:`~repro.mac.standard.StandardMACLayer` — ``register`` /
 ``inject_arrival`` / automaton callbacks / ``bcast`` — but realizes
-acknowledged local broadcast with a decay back-off schedule over the slotted
-collision radio of :mod:`repro.radio.slotted`:
+acknowledged local broadcast with a decay back-off schedule over a slotted
+radio: the collision radio of :mod:`repro.radio.slotted` by default, or any
+network with the same ``run_slot`` surface, such as the SINR radio of
+:mod:`repro.radio.sinr`:
 
 * ``bcast(m)`` starts a decay schedule for ``m``;
 * every listener that decodes the packet gets a ``rcv`` (duplicates from
@@ -140,7 +142,7 @@ class RadioMACLayer:
             neighbors that are still alive, arrivals addressed to a
             not-yet-joined node fire when it joins, and flapped-up grey
             edges stop fading while reliable.
-        network: A pre-built slot-reception engine implementing the
+        network: A pre-built slot-reception network implementing the
             :class:`~repro.radio.slotted.SlottedRadioNetwork` surface
             (``run_slot`` / ``slot`` / ``stats`` / ``fault_engine``).
             ``None`` (the default) builds the binary collision radio over
@@ -157,10 +159,6 @@ class RadioMACLayer:
             delivery accounting for bounded memory — size the cap well
             above the in-flight message population.  ``None`` keeps the
             exact unbounded dict.
-        engine: Reception-engine key for the default collision radio
-            (``reference``/``vectorized``/``auto``, see
-            :mod:`repro.radio.engines`); ignored when ``network`` is
-            injected (the injected network carries its own engine).
     """
 
     def __init__(
@@ -175,7 +173,6 @@ class RadioMACLayer:
         fault_engine=None,
         network=None,
         delivered_cap: int | None = None,
-        engine: str = "reference",
     ):
         if slot_duration <= 0:
             raise MACError(f"slot_duration must be positive: {slot_duration}")
@@ -196,7 +193,6 @@ class RadioMACLayer:
                 dual,
                 rng.child("fading"),
                 p_unreliable_live=p_unreliable_live,
-                engine=engine,
             )
         )
         self.faults = fault_engine

@@ -35,20 +35,38 @@ BMMB runs on SINR exactly as it runs on the collision radio, and the
 adapter's empirical ``Fack``/``Fprog`` extraction applies as-is.
 
 Fault semantics: crashed/absent nodes neither transmit nor listen (the
-engine's ``is_active``).  Link flapping is ignored — SINR reception is
-derived from geometry, not from the reliable/grey edge split.
+fault engine's ``is_active``).  Link flapping is ignored — SINR reception
+is derived from geometry, not from the reliable/grey edge split.
+
+A slot is computed by one pure-python pass driven by the slot's
+transmitters (:func:`_sinr_reference_pass`): only listeners with a
+transmitting G'-neighbor are decoded, at O(audible listeners × senders)
+per slot.
 """
 
 from __future__ import annotations
 
 from repro.errors import MACError
-from repro.radio.slotted import Receptions, SlotStats, Transmissions
+from repro.ids import NodeId
+from repro.radio.slotted import (
+    Receptions,
+    SlotPass,
+    SlotStats,
+    Transmissions,
+    hear_lists,
+)
 from repro.sim.rng import RandomSource
 from repro.topology.dualgraph import DualGraph
 
 #: Distances below this are clamped (coincident nodes would otherwise
 #: receive infinite power).
 MIN_DISTANCE = 1e-6
+
+#: The SINR pass precomputes the full pairwise gain table up to this many
+#: nodes; above it, per-listener rows over the slot's senders are computed
+#: on the fly from the same scalar expressions — identical floats,
+#: O(senders) memory — so large runs don't build an n² python dict.
+SINR_TABLE_MAX_NODES = 512
 
 
 class SINRRadioNetwork:
@@ -67,9 +85,6 @@ class SINRRadioNetwork:
             default noise floor; must cover the reliable (unit-disk)
             radius or the MAC adapter's adaptive mode cannot terminate.
         noise: Explicit ambient noise floor; overrides ``reach``.
-        engine: Reception-engine key (``reference``/``vectorized``/``auto``,
-            see :mod:`repro.radio.engines`); all engines compute identical
-            receptions.
 
     Raises:
         MACError: Missing embedding or non-positive model constants.
@@ -84,10 +99,7 @@ class SINRRadioNetwork:
         power: float = 1.0,
         reach: float = 1.2,
         noise: float | None = None,
-        engine: str = "reference",
     ):
-        from repro.radio.engines import resolve_engine
-
         if dual.positions is None:
             raise MACError(
                 "the SINR model needs an embedded topology "
@@ -109,8 +121,7 @@ class SINRRadioNetwork:
         self.beta = beta
         self.power = power
         self.noise = noise
-        self.engine = resolve_engine(engine)
-        self._slot_pass = None  # built lazily on the first slot
+        self._slot_pass: SlotPass | None = None  # built lazily on the first slot
         self.slot = 0
         self.stats: list[SlotStats] = []
         #: Optional :class:`~repro.faults.engine.FaultEngine` (set by the
@@ -128,7 +139,7 @@ class SINRRadioNetwork:
             if sender not in nodes:
                 raise MACError(f"unknown transmitter {sender}")
         if self._slot_pass is None:
-            self._slot_pass = self.engine.sinr_pass(self)
+            self._slot_pass = _sinr_reference_pass(self)
         receptions, collisions = self._slot_pass(transmissions)
         self.stats.append(
             SlotStats(
@@ -140,6 +151,96 @@ class SINRRadioNetwork:
         )
         self.slot += 1
         return receptions
+
+
+def _sinr_gain_table(
+    network: SINRRadioNetwork,
+) -> dict[NodeId, dict[NodeId, float]]:
+    """The full pairwise received-power table ``P·d^-alpha`` (symmetric)."""
+    positions = network.dual.positions
+    power = network.power
+    alpha = network.alpha
+    gain: dict[NodeId, dict[NodeId, float]] = {}
+    nodes = network.dual.nodes_sorted
+    for u in nodes:
+        ux, uy = positions[u]
+        row: dict[NodeId, float] = {}
+        for v in nodes:
+            if u == v:
+                continue
+            vx, vy = positions[v]
+            dist = max(((ux - vx) ** 2 + (uy - vy) ** 2) ** 0.5, MIN_DISTANCE)
+            row[v] = power * dist**-alpha
+        gain[u] = row
+    return gain
+
+
+def _sinr_reference_pass(network: SINRRadioNetwork) -> SlotPass:
+    """The SINR decode, driven by the slot's transmitters.
+
+    Only the listeners on the slot's
+    :func:`~repro.radio.slotted.hear_lists` are decoded — a listener with
+    no transmitting G'-neighbor can neither decode nor collide.  The
+    interference total is a sequential ``+=`` over all sorted senders
+    (not ``sum()``, whose compensated float sum would change bits), and
+    the best signal is chosen over the hear-list with a strict-greater
+    tie-break, so the earliest sender wins ties.  A slot costs
+    O(audible listeners × senders).
+
+    Up to :data:`SINR_TABLE_MAX_NODES` nodes the full gain table is
+    precomputed; above that, per-listener rows over the slot's senders are
+    computed on demand from the *same scalar expressions*, so receptions
+    are identical while memory stays O(senders) instead of O(n²).
+    """
+    dual = network.dual
+    positions = dual.positions
+    power = network.power
+    alpha = network.alpha
+    beta = network.beta
+    noise = network.noise
+    table = _sinr_gain_table(network) if dual.n <= SINR_TABLE_MAX_NODES else None
+
+    def run(transmissions: Transmissions) -> tuple[Receptions, int]:
+        engine = network.fault_engine
+        senders = sorted(transmissions)
+        heard = hear_lists(dual, senders, transmissions)
+        receptions: Receptions = {}
+        collisions = 0
+        for v in sorted(heard):
+            if engine is not None and not engine.is_active(v):
+                continue  # dead nodes hear nothing
+            if table is not None:
+                row = table[v]
+            else:
+                vx, vy = positions[v]
+                row = {}
+                for u in senders:
+                    ux, uy = positions[u]
+                    dist = max(
+                        ((vx - ux) ** 2 + (vy - uy) ** 2) ** 0.5, MIN_DISTANCE
+                    )
+                    row[u] = power * dist**-alpha
+            total = 0.0
+            for u in senders:
+                total += row[u]
+            if total <= 0.0:
+                continue
+            best: NodeId | None = None
+            best_gain = 0.0
+            for u in heard[v]:
+                signal = row[u]
+                if signal < beta * (noise + total - signal):
+                    continue
+                if best is None or signal > best_gain:
+                    best = u
+                    best_gain = signal
+            if best is not None:
+                receptions[v] = (best, transmissions[best])
+            else:
+                collisions += 1  # audible traffic, nothing decodable
+        return receptions, collisions
+
+    return run
 
 
 def sinr_mac_layer(
@@ -155,7 +256,6 @@ def sinr_mac_layer(
     power: float = 1.0,
     reach: float = 1.2,
     noise: float | None = None,
-    engine: str = "reference",
 ):
     """Build a :class:`~repro.radio.RadioMACLayer` over SINR reception.
 
@@ -176,7 +276,6 @@ def sinr_mac_layer(
         power=power,
         reach=reach,
         noise=noise,
-        engine=engine,
     )
     return RadioMACLayer(
         dual,

@@ -14,12 +14,16 @@ Semantics per slot (the graph-based low-level model of [8, 29]):
 This is the substrate the decay MAC runs on — it has *no* delivery
 guarantees of its own; reliability emerges (probabilistically) from
 retransmission schedules above it.
+
+A slot is computed by one pure-python pass driven by the slot's
+transmitters (:func:`_slotted_reference_pass`), at O(Σ transmitter
+degree) per slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import MACError
 from repro.ids import NodeId
@@ -30,6 +34,8 @@ from repro.topology.dualgraph import DualGraph
 Transmissions = dict[NodeId, Any]
 #: Map listener → (sender, packet) received this slot (at most one).
 Receptions = dict[NodeId, tuple[NodeId, Any]]
+#: One slot's work: transmissions -> (receptions, collision count).
+SlotPass = Callable[[Transmissions], tuple[Receptions, int]]
 
 
 @dataclass
@@ -51,9 +57,6 @@ class SlottedRadioNetwork:
         rng: Random stream for fading.
         p_unreliable_live: Per-slot liveness probability of each unreliable
             edge.
-        engine: Reception-engine key (``reference``/``vectorized``/``auto``,
-            see :mod:`repro.radio.engines`); all engines compute identical
-            receptions from the same stream.
     """
 
     def __init__(
@@ -61,10 +64,7 @@ class SlottedRadioNetwork:
         dual: DualGraph,
         rng: RandomSource,
         p_unreliable_live: float = 0.5,
-        engine: str = "reference",
     ):
-        from repro.radio.engines import resolve_engine
-
         if not 0.0 <= p_unreliable_live <= 1.0:
             raise MACError(
                 f"p_unreliable_live must be in [0,1]: {p_unreliable_live}"
@@ -72,8 +72,7 @@ class SlottedRadioNetwork:
         self.dual = dual
         self._rng = rng
         self.p_unreliable_live = p_unreliable_live
-        self.engine = resolve_engine(engine)
-        self._slot_pass = None  # built lazily on the first slot
+        self._slot_pass: SlotPass | None = None  # built lazily on the first slot
         self.slot = 0
         self.stats: list[SlotStats] = []
         #: Optional :class:`~repro.faults.engine.FaultEngine` (set by the
@@ -92,7 +91,7 @@ class SlottedRadioNetwork:
             if sender not in nodes:
                 raise MACError(f"unknown transmitter {sender}")
         if self._slot_pass is None:
-            self._slot_pass = self.engine.slotted_pass(self)
+            self._slot_pass = _slotted_reference_pass(self)
         receptions, collisions = self._slot_pass(transmissions)
         self.stats.append(
             SlotStats(
@@ -104,3 +103,67 @@ class SlottedRadioNetwork:
         )
         self.slot += 1
         return receptions
+
+
+def hear_lists(
+    dual: DualGraph, senders: list[NodeId], transmissions: Transmissions
+) -> dict[NodeId, list[NodeId]]:
+    """Each listening G'-neighbor of a sender -> the senders it hears.
+
+    ``senders`` is the slot's transmitters, ascending; each pushes itself
+    onto its listening G'-neighbors' lists, so every list is ascending
+    and only listeners with a transmitting neighbor appear.
+    """
+    gprime_sorted = dual.gprime_neighbors_sorted
+    heard: dict[NodeId, list[NodeId]] = {}
+    for u in senders:
+        for v in gprime_sorted(u):
+            if v in transmissions:
+                continue  # transmitters cannot listen
+            audible = heard.get(v)
+            if audible is None:
+                heard[v] = [u]
+            else:
+                audible.append(u)
+    return heard
+
+
+def _slotted_reference_pass(network: SlottedRadioNetwork) -> SlotPass:
+    """The collision pass, driven by the slot's transmitters.
+
+    Each listener on the slot's :func:`hear_lists`, ascending, draws one
+    fading coin per grey sender on its list in list order.  That is listeners ascending, senders ascending — the coin
+    order the golden fixtures pin — at a cost of O(Σ transmitter degree)
+    instead of a walk over every node and its neighbor list.
+    """
+    dual = network.dual
+    reliable_adj = dual.reliable_adjacency
+
+    def run(transmissions: Transmissions) -> tuple[Receptions, int]:
+        engine = network.fault_engine
+        random_f = network._rng.raw.random  # bernoulli(p) == random_f() < p
+        p_live = network.p_unreliable_live
+        heard = hear_lists(dual, sorted(transmissions), transmissions)
+        receptions: Receptions = {}
+        collisions = 0
+        for v in sorted(heard):
+            if engine is not None and not engine.is_active(v):
+                continue  # dead nodes hear nothing
+            reliable_set = reliable_adj[v]
+            live = 0
+            sender = None
+            for u in heard[v]:
+                if engine is not None:
+                    reliable = engine.is_reliable_edge(u, v)
+                else:
+                    reliable = u in reliable_set
+                if reliable or random_f() < p_live:
+                    live += 1
+                    sender = u
+            if live == 1:
+                receptions[v] = (sender, transmissions[sender])
+            elif live > 1:
+                collisions += 1
+        return receptions, collisions
+
+    return run

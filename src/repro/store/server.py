@@ -33,6 +33,9 @@ from repro.store.local import LocalBackend
 
 #: Reject absurd bodies outright (a store entry is KB, not GB).
 MAX_BODY_BYTES = 256 * 1024 * 1024
+#: Seconds a connection may stall before the server gives up on it: a PUT
+#: whose body stops short is answered 408, an idle connection is closed.
+REQUEST_TIMEOUT_S = 30.0
 
 
 def _parse_entry_url(path: str) -> tuple[str, str] | None:
@@ -51,6 +54,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-store/1"
+    timeout = REQUEST_TIMEOUT_S
 
     # Set by make_server:
     backend: LocalBackend
@@ -69,17 +73,19 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         status: int,
         body: bytes = b"",
         headers: dict[str, str] | None = None,
-        head_only: bool = False,
     ) -> None:
         self.send_response(status)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        if body and not head_only:
+        if body and self.command != "HEAD":
             self.wfile.write(body)
 
     def _reply_error(self, status: int, message: str) -> None:
+        # A rejected request may leave body bytes unread; they must never
+        # be parsed as the next request, so the connection ends here.
+        self.close_connection = True
         self._reply(
             status,
             (message + "\n").encode("utf-8"),
@@ -89,10 +95,10 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Methods
     # ------------------------------------------------------------------
-    def _serve_entry(self, head_only: bool) -> None:
+    def _serve_entry(self) -> None:
         parsed = _parse_entry_url(self.path)
         if parsed is None:
-            self._handle_meta(head_only)
+            self._handle_meta()
             return
         kind, key = parsed
         data = self.backend.get(kind, key)
@@ -106,13 +112,12 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 "Content-Type": "application/octet-stream",
                 DIGEST_HEADER: hashlib.sha256(data).hexdigest(),
             },
-            head_only=head_only,
         )
 
-    def _handle_meta(self, head_only: bool) -> None:
+    def _handle_meta(self) -> None:
         path = self.path.split("?", 1)[0]
         if path == "/v1/ping":
-            self._reply(200, b"ok\n", head_only=head_only)
+            self._reply(200, b"ok\n")
             return
         if path == "/v1/list":
             entries = []
@@ -133,16 +138,15 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 200,
                 body,
                 headers={"Content-Type": "application/json"},
-                head_only=head_only,
             )
             return
         self._reply_error(404, f"unknown path {path}")
 
     def do_GET(self) -> None:  # noqa: N802
-        self._serve_entry(head_only=False)
+        self._serve_entry()
 
     def do_HEAD(self) -> None:  # noqa: N802
-        self._serve_entry(head_only=True)
+        self._serve_entry()
 
     def do_PUT(self) -> None:  # noqa: N802
         parsed = _parse_entry_url(self.path)
@@ -158,7 +162,11 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         if length < 0 or length > MAX_BODY_BYTES:
             self._reply_error(413, f"body of {length} bytes refused")
             return
-        data = self.rfile.read(length)
+        try:
+            data = self.rfile.read(length)
+        except TimeoutError:
+            self._reply_error(408, "body not received in time")
+            return
         if len(data) != length:
             self._reply_error(400, "short body")
             return

@@ -630,39 +630,26 @@ def test_campaign_malformed_set_exits_2(capsys):
 
 
 # ----------------------------------------------------------------------
-# Reception engines in the CLI surface
+# No reception engine to select
 # ----------------------------------------------------------------------
-def test_registry_lists_reception_engines(capsys):
+def test_registry_lists_no_engine_row(capsys):
     status = main(["registry"])
     out = capsys.readouterr().out
     assert status == 0
-    assert "engine" in out
-    assert "reference" in out
-    assert "vectorized" in out
-    assert "pure-python" in out
-    assert "requires=numpy" in out
-
-
-def test_info_lists_the_engine_registry(capsys):
-    status = main(["info", "--n", "10", "--side", "2.0"])
-    out = capsys.readouterr().out
-    assert status == 0
-    assert "engine" in out
+    assert not [line for line in out.splitlines() if line.startswith("engine")]
+    assert "engines" not in out  # no substrate capability flag either
 
 
 def test_sweep_engine_axis_via_param(capsys):
-    from repro.radio import numpy_available
-
-    if not numpy_available():
-        pytest.skip("vectorized engine needs numpy")
+    # An engine axis is a usage error: ModelSpec has no engine field.
     status = main(
         ["sweep", "--n", "12", "--side", "2.0", "--k", "2", "--seeds", "1",
          "--substrate", "sinr",
-         "--param", "model.engine=reference,vectorized"]
+         "--param", "model.engine=vectorized"]
     )
-    out = capsys.readouterr().out
-    assert status == 0
-    assert "2 runs" in out
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "not a ModelSpec field" in err
 
 
 def test_sweep_engine_on_non_radio_substrate_exits_2(capsys):
@@ -672,4 +659,4 @@ def test_sweep_engine_on_non_radio_substrate_exits_2(capsys):
     )
     err = capsys.readouterr().err
     assert status == 2
-    assert "supports_reception_engines" in err
+    assert "not a ModelSpec field" in err

@@ -141,6 +141,31 @@ def test_builtin_registry_contents():
     )
 
 
+def test_one_each_with_more_messages_than_nodes_is_rejected():
+    # k > n used to take all n nodes silently, while bound checks read k.
+    from repro.experiments import run
+
+    for substrate, algorithm in (("standard", "bmmb"), ("rounds", "fmmb")):
+        spec = ExperimentSpec(
+            topology=TopologySpec("line", {"n": 20}),
+            algorithm=AlgorithmSpec(algorithm),
+            workload=WorkloadSpec("one_each", {"k": 32}),
+            substrate=substrate,
+        )
+        with pytest.raises(ExperimentError, match=r"k=32 .* n=20"):
+            run(spec)
+    exact = ExperimentSpec(
+        topology=TopologySpec("line", {"n": 4}),
+        workload=WorkloadSpec("one_each", {"k": 4}),
+    )
+    assert run(exact).solved
+    listed = ExperimentSpec(
+        topology=TopologySpec("line", {"n": 4}),
+        workload=WorkloadSpec("one_each", {"k": 32, "nodes": [0, 3]}),
+    )
+    assert run(listed).solved
+
+
 def test_unknown_key_error_names_the_known_keys():
     with pytest.raises(ExperimentError, match="line"):
         TOPOLOGIES.get("moebius")

@@ -24,12 +24,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 LAZY_PACKAGES = ("repro", "repro.campaigns", "repro.store")
 
 
-def run_fresh(code: str, tmp_path, path: tuple[str, ...] = ()) -> dict:
-    """Run ``code`` in a fresh interpreter with ``path`` ahead of the
-    package on ``PYTHONPATH``; return its last stdout line as JSON."""
+def run_fresh(code: str, tmp_path) -> dict:
+    """Run ``code`` in a fresh interpreter with the package on
+    ``PYTHONPATH``; return its last stdout line as JSON."""
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join((*path, SRC))},
+        env={**os.environ, "PYTHONPATH": SRC},
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -94,32 +94,6 @@ def test_experiments_import_leaves_the_fabric_unloaded(tmp_path):
         tmp_path,
     )
     assert loaded == []
-
-
-def test_numpy_that_fails_to_import_reads_as_absent(tmp_path):
-    # What a host without the "fast" extra looks like to the code: a numpy
-    # on the path whose import raises.  Deciding availability without
-    # importing (say, by finding the module spec) would call it available.
-    stub = tmp_path / "stub"
-    stub.mkdir()
-    (stub / "numpy.py").write_text('raise ImportError("numpy shadowed")\n')
-    engines = run_fresh(
-        """
-        import json
-        from repro.radio.engines import (
-            RECEPTION_ENGINES, numpy_available, resolve_engine,
-        )
-
-        print(json.dumps({
-            "numpy": numpy_available(),
-            "vectorized": RECEPTION_ENGINES.get("vectorized").available(),
-            "auto": resolve_engine("auto").name,
-        }))
-        """,
-        tmp_path,
-        path=(str(stub),),
-    )
-    assert engines == {"numpy": False, "vectorized": False, "auto": "reference"}
 
 
 # ----------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_push_pass_matches_per_listener_loop(graph, data, faulted, p_live, seed)
         st.lists(st.lists(st.sampled_from(nodes), unique=True), min_size=1, max_size=4)
     )
     rng = RandomSource(seed)
-    radio = SlottedRadioNetwork(dual, rng, p_unreliable_live=p_live, engine="reference")
+    radio = SlottedRadioNetwork(dual, rng, p_unreliable_live=p_live)
     radio.fault_engine = engine
     expected_rng = RandomSource(seed)
     for senders in slots:

@@ -79,16 +79,12 @@ def test_substrates_declare_capabilities():
         assert set(caps) == {
             "supports_faults",
             "supports_arrivals",
-            "supports_reception_engines",
             "scheduler_role",
         }
         assert substrate.describe()  # one-line doc for the CLI table
     assert get_substrate("rounds").scheduler_role == "seeded"
     assert get_substrate("radio").scheduler_role == "emergent"
     assert get_substrate("standard").supports_arrivals
-    assert get_substrate("radio").supports_reception_engines
-    assert get_substrate("sinr").supports_reception_engines
-    assert not get_substrate("standard").supports_reception_engines
 
 
 def test_unknown_substrate_is_rejected_with_known_names():
