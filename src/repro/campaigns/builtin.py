@@ -450,6 +450,19 @@ def _figure2_lowerbound(n_max: int | None = None) -> CampaignSpec:
     )
 
 
+def _choke_base(name: str, k: int) -> ExperimentSpec:
+    """BMMB on the Lemma 3.18 choke star of ``k`` sources."""
+    return ExperimentSpec(
+        name=name,
+        topology=TopologySpec("choke_star", {"k": k}),
+        algorithm=AlgorithmSpec("bmmb"),
+        scheduler=SchedulerSpec("choke"),
+        workload=WorkloadSpec("one_each", {"k": k}),
+        model=ModelSpec(fack=FACK, fprog=FPROG),
+        seed=0,
+    )
+
+
 @register_campaign(
     "choke_lowerbound",
     "Lemma 3.18 choke point: k messages cross one edge at one per Fack",
@@ -457,21 +470,9 @@ def _figure2_lowerbound(n_max: int | None = None) -> CampaignSpec:
 def _choke_lowerbound(n_max: int | None = None) -> CampaignSpec:
     # The choke star for k messages has k + 1 nodes.
     ks = [n - 1 for n in scaled_values((9, 17, 33, 65), n_max)]
-
-    def base(name: str, k: int) -> ExperimentSpec:
-        return ExperimentSpec(
-            name=name,
-            topology=TopologySpec("choke_star", {"k": k}),
-            algorithm=AlgorithmSpec("bmmb"),
-            scheduler=SchedulerSpec("choke"),
-            workload=WorkloadSpec("one_each", {"k": k}),
-            model=ModelSpec(fack=FACK, fprog=FPROG),
-            seed=0,
-        )
-
     ladder = SweepDirective(
         name="ladder",
-        base=base("choke", ks[0]),
+        base=_choke_base("choke", ks[0]),
         zip_axes={"topology.k": list(ks), "workload.k": list(ks)},
         derive_seeds=False,
     )
@@ -480,7 +481,7 @@ def _choke_lowerbound(n_max: int | None = None) -> CampaignSpec:
     # forces the floor is a legal MAC layer.
     certified = SweepDirective(
         name="certified",
-        base=base("choke-certified", 8),
+        base=_choke_base("choke-certified", 8),
         derive_seeds=False,
         journal=True,
     )

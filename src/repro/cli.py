@@ -15,14 +15,11 @@ Subcommands:
   aggregate percentiles; ``--json`` dumps the per-run rows (with each
   run's spec) for external analysis.
 * ``campaign`` — list/run/resume/report/verify/diff the built-in
-  reproduction campaigns (``figure1``, ``figure2_lowerbound``,
-  ``crossover``, ``fault_resilience``, ``radio_footnote2``,
-  ``sinr_contention``, ``saturation``, and the ``all_figures``
-  meta-campaign): sharded, checkpointed sweeps that regenerate the
-  paper's figures into ``artifacts/`` and validate them with machine
-  checks.  ``--store`` takes a directory *or* an ``http(s)://`` store
-  URL served by ``repro store serve``, so many workers can share one
-  store across machines.
+  reproduction campaigns (``repro campaign list`` names them): sharded,
+  checkpointed sweeps that regenerate the paper's figures into
+  ``artifacts/`` and validate them with machine checks.  ``--store``
+  takes a directory *or* an ``http(s)://`` store URL served by ``repro
+  store serve``, so many workers can share one store across machines.
 * ``store`` — result-store backend tools: ``serve`` a store directory
   over HTTP for distributed campaigns, ``sync`` two stores, ``verify``
   every entry's document-level integrity, ``gc`` entries no campaign
@@ -43,8 +40,8 @@ execution; under faults, "solved" means solved among the surviving nodes.
 
 All run-style subcommands build an :class:`~repro.experiments.ExperimentSpec`
 and hand it to :func:`repro.experiments.run` — the CLI contains no
-simulator plumbing of its own.  Exit status 0 means the run
-solved/validated.
+simulator plumbing of its own (``lowerbound``'s certificate is the
+``mac_axioms`` trace check).  Exit status 0 means the run solved/validated.
 """
 
 from __future__ import annotations
@@ -55,16 +52,10 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from repro.analysis.bounds import (
-    bmmb_arbitrary_bound,
-    choke_lower_bound,
-    figure2_lower_bound,
-    fmmb_bound_rounds,
-)
+from repro.analysis.bounds import fmmb_bound_rounds
 from repro.analysis.tables import render_table
-from repro.core.bmmb import BMMBNode
 from repro.errors import ExperimentError
 from repro.experiments import (
     ALGORITHMS,
@@ -75,6 +66,7 @@ from repro.experiments import (
     TOPOLOGIES,
     WORKLOADS,
     AlgorithmSpec,
+    ExperimentResult,
     ExperimentSpec,
     FaultSpec,
     ModelSpec,
@@ -88,14 +80,11 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments.overrides import (
-    parse_assignment,
     parse_assignments,
     parse_axes,
+    parse_kind_params,
 )
-from repro.mac.axioms import check_axioms
-from repro.mac.schedulers import ChokeAdversary, GreyZoneAdversary
-from repro.runtime.runner import run_standard
-from repro.topology.adversarial import choke_star_network, parallel_lines_network
+from repro.experiments.substrates import topology_facts
 from repro.topology.metrics import summarize
 from repro.traffic import ARRIVALS
 
@@ -154,30 +143,13 @@ def _parse_fault(text: str | None) -> FaultSpec:
     """Parse ``--fault kind[:param=value,...]`` into a :class:`FaultSpec`."""
     if not text:
         return FaultSpec("none")
-    kind, _, rest = text.partition(":")
+    kind = text.partition(":")[0]
     if kind not in FAULTS:
         raise SystemExit(
             f"--fault: unknown fault scenario {kind!r}; registered: "
             f"{', '.join(FAULTS.names())}"
         )
-    params = parse_assignments(
-        rest.split(",") if rest else None, flag="--fault", require_value=True
-    )
-    return FaultSpec(kind, params)
-
-
-def _fault_columns(result) -> dict[str, object]:
-    """Extra table columns for a faulted run (empty when fault-free)."""
-    if not result.spec.fault.enabled:
-        return {}
-    metrics = result.metrics
-    return {
-        "survivors": int(metrics.get("survivors", 0)),
-        "crashed": int(
-            metrics.get("nodes_crashed", 0) + metrics.get("nodes_left", 0)
-        ),
-        "msgs lost": int(metrics.get("messages_lost", 0)),
-    }
+    return FaultSpec(*parse_kind_params(text, flag="--fault"))
 
 
 def _registry_rows() -> list[dict[str, object]]:
@@ -229,59 +201,153 @@ def _bmmb_spec(args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def cmd_bmmb(args: argparse.Namespace) -> int:
-    spec = _bmmb_spec(args)
-    dual = materialize_topology(spec)
-    result = run(spec, RunOptions.summary())
-    bound = bmmb_arbitrary_bound(dual.diameter(), args.k, args.fack)
-    print(render_table(
-        [
-            {
-                "solved": result.solved,
-                "completion": result.completion_time,
-                "(D+k)*Fack bound": bound,
-                "broadcasts": result.broadcast_count,
-                **_fault_columns(result),
-            }
-        ],
-        title=f"BMMB on n={dual.n} grey-zone network, k={args.k}, "
-              f"scheduler={args.scheduler}"
-              + (f", fault={spec.fault.kind}" if spec.fault.enabled else ""),
-    ))
-    return 0 if result.solved else 1
+class _Preset(NamedTuple):
+    """A run command: spec and title builders, the row after ``solved``,
+    the capture, and the columns that must read true for exit status 0."""
+
+    spec: Callable[[argparse.Namespace], ExperimentSpec]
+    title: Callable[[argparse.Namespace], str]
+    columns: Callable[[argparse.Namespace, ExperimentResult], dict[str, object]]
+    options: RunOptions = RunOptions.summary()
+    verdict: tuple[str, ...] = ("solved",)
 
 
-def cmd_fmmb(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
+def cmd_run(args: argparse.Namespace) -> int:
+    """The one body of ``bmmb``, ``fmmb``, ``lowerbound`` and ``radio``."""
+    preset: _Preset = args.preset
+    result = run(preset.spec(args), preset.options)
+    row = {"solved": result.solved, **preset.columns(args, result)}
+    title = preset.title(args)
+    if result.spec.fault.enabled:
+        metrics = result.metrics
+        row["survivors"] = int(metrics.get("survivors", 0))
+        row["crashed"] = int(
+            metrics.get("nodes_crashed", 0) + metrics.get("nodes_left", 0)
+        )
+        row["msgs lost"] = int(metrics.get("messages_lost", 0))
+        title += f", fault={result.spec.fault.kind}"
+    print(render_table([row], title=title))
+    return 0 if all(row[column] for column in preset.verdict) else 1
+
+
+def _bmmb_columns(args, result) -> dict[str, object]:
+    from repro.campaigns.checks import bound_value
+
+    return {
+        "completion": result.completion_time,
+        "(D+k)*Fack bound": bound_value("bmmb_arbitrary", result.spec),
+        "broadcasts": result.broadcast_count,
+    }
+
+
+def _fmmb_spec(args: argparse.Namespace) -> ExperimentSpec:
+    return ExperimentSpec(
         name="cli-fmmb",
         topology=_topology_spec(args),
         algorithm=AlgorithmSpec("fmmb", {"c": args.c}),
         workload=WorkloadSpec("one_each", {"k": args.k}),
-        fault=_parse_fault(getattr(args, "fault", None)),
+        fault=_parse_fault(args.fault),
         model=ModelSpec(fprog=args.fprog, fack=max(args.fprog, 20.0)),
         substrate="rounds",
         seed=args.seed,
     )
-    dual = materialize_topology(spec)
-    result = run(spec, RunOptions.summary())
-    budget = fmmb_bound_rounds(dual.diameter(), args.k, dual.n, c=args.c)
-    print(render_table(
-        [
-            {
-                "solved": result.solved,
-                "MIS valid": bool(result.metrics["mis_valid"]),
-                "rounds MIS": int(result.metrics["rounds_mis"]),
-                "rounds gather": int(result.metrics["rounds_gather"]),
-                "rounds spread": int(result.metrics["rounds_spread"]),
-                "rounds total": int(result.metrics["rounds_total"]),
-                "budget": round(budget),
-                **_fault_columns(result),
-            }
-        ],
-        title=f"FMMB on n={dual.n} grey-zone network, k={args.k}"
-              + (f", fault={spec.fault.kind}" if spec.fault.enabled else ""),
-    ))
-    return 0 if result.solved else 1
+
+
+def _fmmb_columns(args, result) -> dict[str, object]:
+    # Theorem 4.1's round count with unit constants (the campaigns'
+    # fmmb_rounds bound is a multiple of it, in time units).
+    diameter = topology_facts(result.spec)["diameter"]
+    return {
+        "MIS valid": bool(result.metrics["mis_valid"]),
+        "rounds MIS": int(result.metrics["rounds_mis"]),
+        "rounds gather": int(result.metrics["rounds_gather"]),
+        "rounds spread": int(result.metrics["rounds_spread"]),
+        "rounds total": int(result.metrics["rounds_total"]),
+        "budget": round(fmmb_bound_rounds(diameter, args.k, args.n, c=args.c)),
+    }
+
+
+def _lowerbound_spec(args: argparse.Namespace) -> ExperimentSpec:
+    """The lower-bound campaigns' adversary spec under this model."""
+    from repro.campaigns import builtin
+
+    base = (
+        builtin._figure2_base(args.depth)
+        if args.gadget == "figure2"
+        else builtin._choke_base("choke", args.k)
+    )
+    model = ModelSpec(fack=args.fack, fprog=args.fprog)
+    return dataclasses.replace(base, model=model, seed=args.seed)
+
+
+def _lowerbound_columns(args, result) -> dict[str, object]:
+    from repro.campaigns.checks import bound_value
+    from repro.campaigns.trace_checks import run_trace_check
+
+    # The certificate: the adversary is a legal MAC layer, with every
+    # instance terminated and every progress bound met.
+    violations = run_trace_check(
+        "mac_axioms", result.spec, result.observations,
+        allow_pending=False, check_progress=True,
+    )
+    return {
+        "completion": result.completion_time,
+        "floor": bound_value(f"{args.gadget}_floor", result.spec),
+        "axiom-clean": not violations,
+    }
+
+
+def _radio_spec(args: argparse.Namespace) -> ExperimentSpec:
+    return ExperimentSpec(
+        name="cli-radio",
+        topology=TopologySpec("star", {"n": args.n}),
+        algorithm=AlgorithmSpec("bmmb"),
+        workload=WorkloadSpec("one_each", {"nodes": list(range(1, args.n))}),
+        fault=_parse_fault(args.fault),
+        model=ModelSpec(params={"max_slots": args.max_slots}),
+        substrate="radio",
+        seed=args.seed,
+    )
+
+
+def _radio_columns(args, result) -> dict[str, object]:
+    fack = result.metrics["empirical_fack"]
+    fprog = result.metrics["empirical_fprog"]
+    return {
+        "slots": int(result.metrics["slots"]),
+        "empirical Fack": fack,
+        "empirical Fprog": fprog,
+        "Fack/Fprog": fack / max(fprog, 1e-9),
+        "delivery rate": result.metrics["delivery_success_rate"],
+    }
+
+
+_PRESETS = {
+    "bmmb": _Preset(
+        _bmmb_spec,
+        lambda args: f"BMMB on n={args.n} grey-zone network, k={args.k}, "
+        f"scheduler={args.scheduler}",
+        _bmmb_columns,
+    ),
+    "fmmb": _Preset(
+        _fmmb_spec,
+        lambda args: f"FMMB on n={args.n} grey-zone network, k={args.k}",
+        _fmmb_columns,
+    ),
+    "lowerbound": _Preset(
+        _lowerbound_spec,
+        lambda args: f"Figure 2 adversary, D={args.depth}"
+        if args.gadget == "figure2" else f"Lemma 3.18 choke, k={args.k}",
+        _lowerbound_columns,
+        options=RunOptions.observed(),
+        verdict=("solved", "axiom-clean"),
+    ),
+    "radio": _Preset(
+        _radio_spec,
+        lambda args: f"BMMB over decay radio MAC, star n={args.n} (footnote 2)",
+        _radio_columns,
+    ),
+}
 
 
 def _json_safe(value: Any) -> Any:
@@ -661,17 +727,6 @@ def _journal_spec(journal, path: str) -> ExperimentSpec:
     return ExperimentSpec.from_dict(spec_dict)
 
 
-def _parse_trace_check(text: str) -> tuple[str, dict[str, Any]]:
-    """Parse ``name`` or ``name:key=value,key=value`` into (name, params)."""
-    name, sep, rest = text.partition(":")
-    params: dict[str, Any] = {}
-    if sep:
-        for item in rest.split(","):
-            key, value = parse_assignment(item, flag="--check")
-            params[key] = value
-    return name, params
-
-
 def cmd_trace_dump(args: argparse.Namespace) -> int:
     from repro.runtime.journal import read_journal
 
@@ -739,7 +794,7 @@ def cmd_trace_check(args: argparse.Namespace) -> int:
     from repro.runtime.journal import read_journal
 
     checks = [
-        _parse_trace_check(text)
+        parse_kind_params(text, flag="--check")
         for text in (args.check or list(DEFAULT_TRACE_CHECKS))
     ]
     failures = 0
@@ -813,77 +868,6 @@ def cmd_trace_grep(args: argparse.Namespace) -> int:
     return 0 if matched else 1
 
 
-def cmd_lowerbound(args: argparse.Namespace) -> int:
-    # The lower-bound adversaries are bound to their gadget networks
-    # (the Figure 2 scheduler needs the line structure), so this command
-    # stays on the imperative runner rather than the registries.
-    if args.gadget == "figure2":
-        net = parallel_lines_network(args.depth)
-        scheduler = GreyZoneAdversary(net)
-        floor = figure2_lower_bound(args.depth, args.fack)
-        dual, assignment = net.dual, net.assignment
-        title = f"Figure 2 adversary, D={args.depth}"
-    else:
-        choke = choke_star_network(args.k)
-        scheduler = ChokeAdversary()
-        floor = choke_lower_bound(args.k, args.fack)
-        dual, assignment = choke.dual, choke.assignment
-        title = f"Lemma 3.18 choke, k={args.k}"
-    result = run_standard(
-        dual,
-        assignment,
-        lambda _: BMMBNode(),
-        scheduler,
-        args.fack,
-        args.fprog,
-    )
-    report = check_axioms(result.instances, dual, args.fack, args.fprog)
-    print(render_table(
-        [
-            {
-                "solved": result.solved,
-                "completion": result.completion_time,
-                "floor": floor,
-                "axiom-clean": report.ok,
-            }
-        ],
-        title=title,
-    ))
-    return 0 if (result.solved and report.ok) else 1
-
-
-def cmd_radio(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        name="cli-radio",
-        topology=TopologySpec("star", {"n": args.n}),
-        algorithm=AlgorithmSpec("bmmb"),
-        workload=WorkloadSpec("one_each", {"nodes": list(range(1, args.n))}),
-        fault=_parse_fault(getattr(args, "fault", None)),
-        model=ModelSpec(params={"max_slots": args.max_slots}),
-        substrate="radio",
-        seed=args.seed,
-    )
-    result = run(spec, RunOptions.summary())
-    fack = result.metrics["empirical_fack"]
-    fprog = result.metrics["empirical_fprog"]
-    print(render_table(
-        [
-            {
-                "solved": result.solved,
-                "slots": int(result.metrics["slots"]),
-                "empirical Fack": fack,
-                "empirical Fprog": fprog,
-                "Fack/Fprog": fack / max(fprog, 1e-9),
-                "delivery rate": result.metrics["delivery_success_rate"],
-                **_fault_columns(result),
-            }
-        ],
-        title=f"BMMB over decay radio MAC, star n={args.n} (footnote 2)"
-              + (f", fault={spec.fault.kind}" if spec.fault.enabled else ""),
-    ))
-    return 0 if result.solved else 1
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -947,14 +931,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bmmb = sub.add_parser("bmmb", help="run BMMB on a grey-zone network")
     _add_bmmb_options(p_bmmb)
-    p_bmmb.set_defaults(func=cmd_bmmb)
+    p_bmmb.set_defaults(func=cmd_run, preset=_PRESETS["bmmb"])
 
     p_fmmb = sub.add_parser("fmmb", help="run FMMB on a grey-zone network")
     _add_network_options(p_fmmb)
     _add_fault_option(p_fmmb)
     p_fmmb.add_argument("--k", type=int, default=4, help="message count")
     p_fmmb.add_argument("--fprog", type=float, default=1.0, help="Fprog bound")
-    p_fmmb.set_defaults(func=cmd_fmmb)
+    p_fmmb.set_defaults(func=cmd_run, preset=_PRESETS["fmmb"])
 
     p_sweep = sub.add_parser(
         "sweep", help="replicate a BMMB experiment over seeds and axes"
@@ -1275,7 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lb.add_argument("--depth", type=int, default=10, help="Figure 2 line depth")
     p_lb.add_argument("--k", type=int, default=16, help="choke message count")
-    p_lb.set_defaults(func=cmd_lowerbound)
+    p_lb.set_defaults(func=cmd_run, preset=_PRESETS["lowerbound"])
 
     p_radio = sub.add_parser(
         "radio", help="run BMMB over the decay radio MAC (footnote 2)"
@@ -1285,7 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-slots", type=int, default=500_000, help="slot budget"
     )
     _add_fault_option(p_radio)
-    p_radio.set_defaults(func=cmd_radio)
+    p_radio.set_defaults(func=cmd_run, preset=_PRESETS["radio"])
     return parser
 
 

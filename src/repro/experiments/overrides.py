@@ -4,13 +4,14 @@ The ``sweep`` and ``campaign`` subcommands historically carried two
 near-identical hand parsers for their override flags (``--param
 PATH=V1,V2,...`` and ``--set KEY=VALUE``) with subtly different error
 text and exit behavior.  This module is the single grammar both now
-share (``--fault`` and ``--check`` parameter lists reuse the same scalar
-and assignment pieces):
+share, and ``--fault`` and ``--check`` share its ``kind:key=value,...``
+form:
 
 * :func:`parse_scalar` — one value literal: int, then finite float, then
   bool, then bare string;
 * :func:`parse_assignment` / :func:`parse_assignments` — ``key=value``
   pairs from a repeatable flag;
+* :func:`parse_kind_params` — ``kind`` or ``kind:key=value,...``;
 * :func:`parse_axis` / :func:`parse_axes` — ``path=v1,v2,...`` sweep
   axes from a repeatable flag.
 
@@ -30,6 +31,7 @@ __all__ = [
     "parse_scalar",
     "parse_assignment",
     "parse_assignments",
+    "parse_kind_params",
     "parse_axis",
     "parse_axes",
 ]
@@ -87,6 +89,14 @@ def parse_assignments(
         )
         params[key] = value
     return params
+
+
+def parse_kind_params(text: str, *, flag: str) -> tuple[str, dict[str, Any]]:
+    """``kind`` or ``kind:key=value,...`` → ``(kind, params)``; no value
+    may be empty."""
+    kind, _, rest = text.partition(":")
+    items = rest.split(",") if rest else None
+    return kind, parse_assignments(items, flag=flag, require_value=True)
 
 
 def parse_axis(

@@ -39,11 +39,12 @@ REQUEST_TIMEOUT_S = 30.0
 
 
 def _parse_entry_url(path: str) -> tuple[str, str] | None:
-    """``/v1/<kind>/<key>`` → ``(kind, key)``, else ``None``."""
-    parts = path.strip("/").split("/")
-    if len(parts) != 3 or parts[0] != "v1":
+    """Exactly ``/v1/<kind>/<key>`` → ``(kind, key)``, else ``None``, so
+    each entry answers to one URL (no extra or trailing slashes)."""
+    parts = path.split("/")
+    if len(parts) != 4 or parts[:2] != ["", "v1"]:
         return None
-    kind, key = parts[1], parts[2]
+    kind, key = parts[2], parts[3]
     if kind not in KINDS or not valid_key(key):
         return None
     return kind, key

@@ -122,6 +122,33 @@ def test_radio_reports_empirical_gap(capsys):
     assert "footnote 2" in out
 
 
+# The per-problem commands as README.md and CI call them, with the data
+# row each prints (cells after the header) and its exit status.
+_PINNED_ROWS = [
+    ("bmmb --n 40 --k 4", "yes | 22.344 | 180 | 160"),
+    (
+        "bmmb --n 16 --k 2 --fault crash_random:fraction=0.2",
+        "yes | 6.831 | 180 | 32 | 13 | 3 | 0",
+    ),
+    ("bmmb --n 16 --side 2.2 --k 2", "yes | 8.421 | 120 | 32"),
+    ("fmmb --n 40 --k 4", "yes | yes | 189 | 9 | 336 | 534 | 1110"),
+    ("fmmb --n 16 --side 2.2 --k 2", "yes | yes | 94 | 9 | 63 | 166 | 481"),
+    ("lowerbound --gadget figure2 --depth 10", "yes | 180 | 180 | yes"),
+    ("lowerbound --gadget choke --k 8", "yes | 140.9 | 140 | yes"),
+    ("radio --n 12", "yes | 1385 | 600 | 19 | 31.579 | 1"),
+    ("radio --n 8", "yes | 640 | 240 | 15 | 16 | 1"),
+]
+
+
+@pytest.mark.parametrize("argv, row", _PINNED_ROWS, ids=[a for a, _ in _PINNED_ROWS])
+def test_run_commands_print_pinned_values(capsys, argv, row):
+    status = main(argv.split())
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert len(lines) == 4  # title, header, rule, one data row
+    assert [cell.strip() for cell in lines[3].split("|")] == row.split(" | ")
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -567,6 +594,28 @@ def test_override_grammar_shares_one_error_shape():
         parse_axis("oops")
     with pytest.raises(ExperimentError, match=r"--param needs path=v1,v2"):
         parse_axis("path=")
+
+
+def test_kind_params_grammar_is_shared_by_fault_and_check():
+    from repro.errors import ExperimentError
+    from repro.experiments.overrides import parse_kind_params
+
+    assert parse_kind_params("ack_latency", flag="--check") == ("ack_latency", {})
+    assert parse_kind_params("crash_random:", flag="--fault") == ("crash_random", {})
+    assert parse_kind_params("c:fraction=0.2,latest=1,on=true", flag="--f") == (
+        "c",
+        {"fraction": 0.2, "latest": 1, "on": True},
+    )
+    for bad in ("c:oops", "c:fraction=", "c:a=1,"):
+        with pytest.raises(ExperimentError, match="--check needs key=value"):
+            parse_kind_params(bad, flag="--check")
+
+
+def test_trace_check_params_go_through_the_shared_grammar(tmp_path, capsys):
+    paths = _journaled_sweep(tmp_path, capsys)
+    assert main(["trace", "check", *paths, "--check", "ack_latency:fack=40"]) == 0
+    assert main(["trace", "check", *paths, "--check", "ack_latency:fack="]) == 2
+    assert "--check needs key=value syntax" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

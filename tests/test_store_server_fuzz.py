@@ -58,7 +58,10 @@ def _entry_paths(draw):
     key = draw(_KEYS)
     shape = draw(
         st.sampled_from(
-            ["ok", "bad-key", "bad-kind", "extra", "no-v1", "v2", "text"]
+            [
+                "ok", "bad-key", "bad-kind", "extra", "no-v1", "v2", "text",
+                "trailing-slash", "double-slash",
+            ]
         )
     )
     if shape == "ok":
@@ -73,6 +76,11 @@ def _entry_paths(draw):
         return f"/{kind}/{key}", False
     if shape == "v2":
         return f"/v2/{kind}/{key}", False
+    # The stored entry's URL, slashed: it must not answer there.
+    if shape == "trailing-slash":
+        return f"/v1/summary/{CANARY_KEY}/", False
+    if shape == "double-slash":
+        return f"//v1/summary/{CANARY_KEY}//", False
     path = "/" + draw(st.text(_PATH_CHARS, max_size=40))
     return path, False
 
@@ -272,3 +280,18 @@ def test_rejected_put_body_is_never_parsed_as_a_request(tmp_path):
     assert reply.startswith(b"HTTP/1.1 404")
     assert reply.count(b"HTTP/1.1 ") == 1
     assert CANARY not in reply
+
+
+def test_an_entry_answers_to_its_one_url_only(tmp_path):
+    # Paths used to be stripped of outer slashes, so a stored entry also
+    # answered at ``/v1/<kind>/<key>/`` and ``//v1/<kind>/<key>//``.
+    served = _Served(str(tmp_path))
+    served.server.RequestHandlerClass.backend.put("summary", CANARY_KEY, CANARY)
+    try:
+        for path in (f"/v1/summary/{CANARY_KEY}/", f"//v1/summary/{CANARY_KEY}//"):
+            raw = f"GET {path} HTTP/1.1\r\nHost: s\r\n\r\n".encode()
+            assert _exchange(served.port, "GET", raw, half_close=False) == 404
+        assert _get_canary(served.port) == (200, CANARY)
+    finally:
+        served.close()
+    assert served.errors == []
