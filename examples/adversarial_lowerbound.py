@@ -53,8 +53,8 @@ def main(depth: int = 10) -> None:
         rows.append(
             {
                 "node": f"a{i + 1}",
-                "m0 delivered at": result.deliveries.time_of(node, "m0"),
-                "hops/Fack": (result.deliveries.time_of(node, "m0") or 0) / FACK,
+                "m0 delivered at": result.deliveries.get((node, "m0")),
+                "hops/Fack": (result.deliveries.get((node, "m0")) or 0) / FACK,
             }
         )
     print(render_table(rows, title="m0's frontier crawl down line A"))

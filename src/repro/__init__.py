@@ -110,6 +110,7 @@ _SOURCES = {
     "repro.core.structuring": ("build_cds", "cds_broadcast_schedule", "validate_cds"),
     "repro.radio": ("RadioMACLayer", "SINRRadioNetwork", "SlottedRadioNetwork"),
     "repro.runtime": ("Observation", "Probe", "RunResult", "run_standard"),
+    "repro.runtime.validate": ("MMBOutcome", "mmb_outcome"),
     "repro.runtime.runner": ("ProtocolRun", "run_protocol"),
     "repro.analysis": (
         "bmmb_arbitrary_bound",
@@ -165,7 +166,6 @@ _SOURCES = {
         "FaultEvent",
         "FaultKind",
         "FaultPlan",
-        "survivor_outcome",
     ),
 }
 
@@ -237,6 +237,8 @@ __all__ = [
     # runtime & analysis
     "RunResult",
     "run_standard",
+    "MMBOutcome",
+    "mmb_outcome",
     "Observation",
     "Probe",
     "ProtocolRun",
@@ -282,7 +284,6 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "FaultPlan",
-    "survivor_outcome",
     # reproduction campaigns
     "CampaignSpec",
     "ResultStore",

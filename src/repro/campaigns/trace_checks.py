@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from repro.errors import ExperimentError
 from repro.experiments.registries import Registry
-from repro.experiments.runner import materialize_topology
 from repro.experiments.specs import ExperimentSpec
+from repro.experiments.substrates import materialize_topology
 from repro.mac.axioms import check_axioms
 from repro.runtime.observations import Observation, instance_log
 

@@ -20,7 +20,7 @@ from repro.core.fmmb.spread import SpreadResult, spread_messages
 from repro.errors import ExperimentError
 from repro.ids import Message, MessageAssignment, MessageId, NodeId, Time
 from repro.mac.rounds import RandomRoundScheduler, RoundScheduler
-from repro.runtime.validate import required_deliveries
+from repro.runtime.validate import mmb_outcome, required_deliveries
 from repro.sim.rng import RandomSource
 from repro.topology.dualgraph import DualGraph
 
@@ -92,8 +92,9 @@ def run_fmmb(
             :class:`~repro.faults.rounds.FaultyRoundScheduler`, so crashed
             nodes neither transmit nor receive and flapped edges move
             between reliable and grey round by round.  ``solved`` keeps
-            the full-component criterion; judge faulted runs with
-            :func:`repro.faults.survivor_outcome`.
+            the full-component criterion; judge faulted runs among
+            survivors by passing the engine to
+            :func:`repro.runtime.validate.mmb_outcome`.
 
     Returns:
         The :class:`FMMBResult`.
@@ -156,20 +157,13 @@ def run_fmmb(
     total_rounds = offset + spread_result.rounds_used
 
     # --- Outcome -------------------------------------------------------
-    solved = True
-    completion_rounds = 0
-    for mid, nodes in required.items():
-        for node in nodes:
-            rnd = recorder.rounds.get((node, mid))
-            if rnd is None:
-                solved = False
-            else:
-                completion_rounds = max(completion_rounds, rnd)
+    outcome = mmb_outcome(dual, assignment, recorder.rounds)
+    completion_rounds = int(outcome.latest)
     completion_time = (
-        (completion_rounds + 1) * fprog if solved else math.inf
+        (completion_rounds + 1) * fprog if outcome.solved else math.inf
     )
     return FMMBResult(
-        solved=solved,
+        solved=outcome.solved,
         total_rounds=total_rounds,
         total_time=total_rounds * fprog,
         completion_rounds=completion_rounds,

@@ -52,10 +52,11 @@ from repro.experiments.substrates import (
 from repro.runtime.journal import write_journal
 from repro.runtime.observations import Observation
 
-#: Names in ``__all__`` are re-exported on purpose: the pre-substrate
-#: dispatcher lived here, and downstream code (the campaign layer, the
-#: store tools, perfbench's driver, the golden recorder) still imports
-#: these helpers from this module.
+#: The helpers in ``__all__`` that live in
+#: :mod:`repro.experiments.substrates` are re-exported on purpose: the
+#: pre-substrate dispatcher lived here, and perfbench's driver still
+#: imports ``clear_topology_cache`` (some tests ``ROOT_STREAM``) from this
+#: module.  New code imports them from ``substrates``.
 __all__ = [
     "ExperimentResult",
     "RadioRun",

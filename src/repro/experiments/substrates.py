@@ -103,11 +103,10 @@ from repro.experiments.specs import (
     WorkloadSpec,
 )
 from repro.faults.engine import FaultEngine
-from repro.faults.outcome import survivor_outcome
 from repro.ids import MessageAssignment
 from repro.runtime.observations import Observation, Probe
 from repro.runtime.runner import run_protocol, run_standard
-from repro.runtime.validate import required_deliveries
+from repro.runtime.validate import MMBOutcome, mmb_outcome
 from repro.sim.rng import RandomSource
 from repro.topology.dualgraph import DualGraph
 
@@ -628,30 +627,49 @@ def _observe_steady(
 
 
 # ----------------------------------------------------------------------
-# Shared MMB fault verdict
+# Shared MMB verdict
 # ----------------------------------------------------------------------
-def _fault_mmb_result(
-    dual: DualGraph,
+def _judge_mmb(
+    ctx: ExecutionContext,
     workload,
     delivery_times,
-    engine: FaultEngine,
-) -> tuple[bool, float, dict[str, float]]:
-    """Among-survivors verdict + fault metrics for an MMB execution."""
-    arrival_times = (
-        workload.arrival_times()
-        if isinstance(workload, ArrivalSchedule)
-        else None
-    )
-    outcome = survivor_outcome(
-        dual,
-        _static_assignment(workload),
-        delivery_times,
-        engine,
-        arrival_times=arrival_times,
-    )
-    metrics = engine.metrics()
-    metrics.update(outcome.metrics())
-    return outcome.solved, outcome.completion_time, metrics
+    engine: FaultEngine | None,
+    fault_free: MMBOutcome | None = None,
+) -> MMBOutcome:
+    """The run's MMB verdict, with its fault and steady-state gauges.
+
+    Judged by :func:`~repro.runtime.validate.mmb_outcome` among survivors
+    when ``engine`` is set.  Otherwise ``fault_free``, the full-component
+    verdict the run already has (``RunResult.outcome``), is reused when
+    given, so a fault-free run is judged once.  Open-arrival workloads
+    get their steady-state gauges from the verdict's per-message times.
+    """
+    verdict = fault_free
+    if engine is not None or verdict is None:
+        timed = engine is not None and isinstance(workload, ArrivalSchedule)
+        verdict = mmb_outcome(
+            ctx.dual,
+            _static_assignment(workload),
+            delivery_times,
+            engine,
+            arrival_times=workload.arrival_times() if timed else None,
+        )
+    if engine is not None:
+        metrics = engine.metrics()
+        metrics.update(
+            {
+                "survivor_required": float(verdict.required),
+                "survivor_delivered": float(verdict.met),
+                "survivor_solved": float(verdict.solved),
+            }
+        )
+        ctx.probe.gauges(metrics)
+    warmup = getattr(workload, "warmup_fraction", None)
+    if warmup is not None:
+        _observe_steady(
+            ctx.probe, workload.arrival_times(), verdict.message_times, warmup
+        )
+    return verdict
 
 
 # ----------------------------------------------------------------------
@@ -673,7 +691,6 @@ class StandardSubstrate(SubstrateBase):
         workload = ctx.workload()
         mac_class = ctx.mac_class()
         engine = ctx.fault_engine()
-        delivered_cap = spec.model.params.get("delivered_cap")
 
         def _run() -> Outcome:
             result = run_standard(
@@ -688,10 +705,7 @@ class StandardSubstrate(SubstrateBase):
                 keep_instances=ctx.keep_raw,
                 mac_class=mac_class,
                 fault_engine=engine,
-                delivered_cap=delivered_cap,
             )
-            solved = result.solved
-            completion = result.completion_time
             probe = ctx.probe
             probe.gauges(
                 {
@@ -700,31 +714,21 @@ class StandardSubstrate(SubstrateBase):
                     "max_latency": result.max_latency,
                 }
             )
-            warmup = getattr(workload, "warmup_fraction", None)
-            if warmup is not None:
-                _observe_steady(
-                    probe,
-                    workload.arrival_times(),
-                    result.per_message_completion,
-                    warmup,
-                )
-            if engine is not None:
-                solved, completion, fault_metrics = _fault_mmb_result(
-                    dual, workload, result.deliveries.times, engine
-                )
-                probe.gauges(fault_metrics)
+            verdict = _judge_mmb(
+                ctx, workload, result.deliveries, engine, result.outcome
+            )
             if ctx.record_observations:
                 ctx.observe_workload_arrivals()
                 if result.instances is not None:
                     probe.observe_instances(result.instances)
-                probe.observe_deliveries(result.deliveries.times)
+                probe.observe_deliveries(result.deliveries)
                 ctx.observe_faults()
             return self.outcome(
                 ctx,
-                solved=solved,
-                completion_time=completion,
+                solved=verdict.solved,
+                completion_time=verdict.completion_time,
                 broadcast_count=result.broadcast_count,
-                delivered_count=len(result.deliveries.times),
+                delivered_count=len(result.deliveries),
                 raw=result,
             )
 
@@ -852,10 +856,8 @@ class RoundsSubstrate(SubstrateBase):
                 # the same cutoff as the other substrates, which drain the
                 # timeline.
                 engine.advance_to(math.inf)
-                solved, completion, fault_metrics = _fault_mmb_result(
-                    dual, workload, delivery_times, engine
-                )
-                probe.gauges(fault_metrics)
+                verdict = _judge_mmb(ctx, workload, delivery_times, engine)
+                solved, completion = verdict.solved, verdict.completion_time
             if ctx.record_observations:
                 ctx.observe_workload_arrivals()
                 probe.observe_deliveries(delivery_times)
@@ -930,33 +932,9 @@ class RadioSubstrate(SubstrateBase):
                     for message in messages:
                         layer.inject_arrival(node, message)
             slots = layer.run(max_slots=max_slots)
-            static = _static_assignment(workload)
-            probe = ctx.probe
-            if engine is not None:
-                solved, completion, fault_metrics = _fault_mmb_result(
-                    dual, workload, layer.deliveries, engine
-                )
-                probe.gauges(fault_metrics)
-            else:
-                required = required_deliveries(dual, static)
-                per_message: dict[str, float] = {}
-                for mid, nodes in required.items():
-                    worst = 0.0
-                    for node in nodes:
-                        delivered_at = layer.deliveries.get((node, mid))
-                        if delivered_at is None:
-                            worst = math.inf
-                            break
-                        worst = max(worst, delivered_at)
-                    per_message[mid] = worst
-                solved = all(math.isfinite(t) for t in per_message.values())
-                completion = max(per_message.values(), default=0.0)
-                warmup = getattr(workload, "warmup_fraction", None)
-                if warmup is not None:
-                    _observe_steady(
-                        probe, workload.arrival_times(), per_message, warmup
-                    )
+            verdict = _judge_mmb(ctx, workload, layer.deliveries, engine)
             bounds = layer.empirical_bounds()
+            probe = ctx.probe
             probe.gauges(
                 {
                     "slots": float(slots),
@@ -975,8 +953,8 @@ class RadioSubstrate(SubstrateBase):
                 ctx.observe_faults()
             return self.outcome(
                 ctx,
-                solved=solved,
-                completion_time=completion,
+                solved=verdict.solved,
+                completion_time=verdict.completion_time,
                 broadcast_count=len(layer.instances),
                 delivered_count=len(layer.deliveries),
                 raw=RadioRun(layer=layer, slots=slots, automata=automata),

@@ -22,7 +22,8 @@ execution substrates:
 Schedulers and postconditions keep working untouched because the engine's
 :class:`EffectiveDualView` answers the same neighbor/component queries as
 :class:`~repro.topology.DualGraph`, restricted to the live network.
-Outcomes are judged among survivors (:func:`survivor_outcome`).
+Outcomes are judged among survivors: every MMB substrate passes the
+engine to :func:`repro.runtime.validate.mmb_outcome`, the one MMB verdict.
 
 Quickstart::
 
@@ -43,7 +44,6 @@ from repro.faults.engine import (
     FaultEngine,
 )
 from repro.faults.events import Edge, FaultEvent, FaultKind, canonical_edge
-from repro.faults.outcome import FaultOutcome, survivor_outcome
 from repro.faults.plan import FaultPlan, validate_plan
 from repro.faults.rounds import FaultyRoundScheduler
 
@@ -58,11 +58,9 @@ __all__ = [
     "FaultEngine",
     "FaultEvent",
     "FaultKind",
-    "FaultOutcome",
     "FaultPlan",
     "FaultyRoundScheduler",
     "PRIORITY_FAULT",
     "canonical_edge",
-    "survivor_outcome",
     "validate_plan",
 ]

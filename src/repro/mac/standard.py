@@ -21,7 +21,7 @@ sets them at the same instant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import MACError, SchedulerError, WellFormednessError
 from repro.ids import TIME_EPS, Message, NodeId, Time
@@ -43,9 +43,6 @@ PRIORITY_ACK = 1
 PRIORITY_WAKEUP = -2
 #: Event priority for environment ``arrive`` events.
 PRIORITY_ARRIVE = -1
-
-DeliverySink = Callable[[NodeId, Message, Time], None]
-
 
 class _NodeBinding:
     """Per-node :class:`~repro.mac.interfaces.MACApi` implementation."""
@@ -93,8 +90,6 @@ class StandardMACLayer:
             nondeterminism.
         fack: Acknowledgment bound for this execution.
         fprog: Progress bound for this execution (``fprog <= fack``).
-        delivery_sink: Optional callback invoked on every MMB
-            ``deliver(m)_i`` output (wired up by the experiment runner).
         fault_engine: Optional :class:`~repro.faults.engine.FaultEngine`.
             When set, the layer honors the engine's dynamics: crashed
             nodes' pending broadcasts are aborted, deliveries to dead
@@ -105,10 +100,6 @@ class StandardMACLayer:
             The layer also schedules a fallback acknowledgment at
             ``bcast + Fack`` per instance so broadcasts whose reliable
             neighbors died cannot outlive the acknowledgment bound.
-        delivered_cap: Bound the per-(node, message) dedup table to this
-            many entries via :class:`~repro.mac.dedup.DeliveredRing`
-            (steady-state service mode; an evicted key can no longer veto
-            a late duplicate).  ``None`` keeps the exact unbounded dict.
     """
 
     _needs_abort_handles = False
@@ -120,9 +111,7 @@ class StandardMACLayer:
         scheduler: Scheduler,
         fack: Time,
         fprog: Time,
-        delivery_sink: DeliverySink | None = None,
         fault_engine: "FaultEngine | None" = None,
-        delivered_cap: int | None = None,
     ):
         if fprog <= 0 or fack <= 0:
             raise MACError(f"bounds must be positive (fack={fack}, fprog={fprog})")
@@ -134,7 +123,6 @@ class StandardMACLayer:
         self.fprog = fprog
         self.scheduler = scheduler
         self.instances = InstanceLog()
-        self.delivery_sink = delivery_sink
         #: Time of the last MAC/automaton event (bcast, rcv, ack, arrival,
         #: timer, re-wake).  Under faults the simulator keeps running to
         #: drain the installed fault timeline, so ``sim.now`` at quiescence
@@ -144,15 +132,9 @@ class StandardMACLayer:
         self._pending: dict[NodeId, MessageInstance | None] = {}
         self._handles: dict[int, list[EventHandle]] = {}
         self._scheduled_receivers: dict[int, set[NodeId]] = {}
-        # Steady-state service runs bound the dedup state with a ring
-        # (delivered times stay complete in the DeliveryLog); one-shot
-        # runs keep the unbounded dict and its exact duplicate check.
-        if delivered_cap is not None:
-            from repro.mac.dedup import DeliveredRing
-
-            self._delivered: Any = DeliveredRing(delivered_cap)
-        else:
-            self._delivered = {}
+        # The one delivery record: (node, mid) -> time of every MMB
+        # ``deliver(m)_i`` output, also the well-formedness dedup check.
+        self._delivered: dict[tuple[NodeId, str], Time] = {}
         self.faults = fault_engine
         self._track_handles = (
             self._needs_abort_handles or fault_engine is not None
@@ -558,8 +540,6 @@ class StandardMACLayer:
                 "(MMB well-formedness violation)"
             )
         self._delivered[key] = self.sim.now
-        if self.delivery_sink is not None:
-            self.delivery_sink(node_id, message, self.sim.now)
 
     @property
     def deliveries(self) -> dict[tuple[NodeId, str], Time]:

@@ -47,7 +47,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any
 
 from repro.errors import MACError, WellFormednessError
 from repro.ids import Message, NodeId, Time
@@ -151,14 +150,6 @@ class RadioMACLayer:
             :class:`~repro.radio.sinr.SINRRadioNetwork` here, reusing
             the whole adapter (decay schedules, acknowledgment,
             empirical-bound extraction) over a different reception model.
-        delivered_cap: Bound the delivered/dedup table to this many
-            entries via :class:`~repro.mac.dedup.DeliveredRing`
-            (steady-state service mode).  On this adapter the table *is*
-            the delivery record the substrate judges solvedness from, so
-            eviction trades exact late-duplicate detection and complete
-            delivery accounting for bounded memory — size the cap well
-            above the in-flight message population.  ``None`` keeps the
-            exact unbounded dict.
     """
 
     def __init__(
@@ -172,7 +163,6 @@ class RadioMACLayer:
         depth: int | None = None,
         fault_engine=None,
         network=None,
-        delivered_cap: int | None = None,
     ):
         if slot_duration <= 0:
             raise MACError(f"slot_duration must be positive: {slot_duration}")
@@ -211,12 +201,7 @@ class RadioMACLayer:
         self._transmit_at: dict[int, list[tuple[NodeId, _ActiveBroadcast]]] = {}
         self._finish_at: dict[int, list[tuple[NodeId, _ActiveBroadcast]]] = {}
         self._arrivals: dict[int, list[tuple[NodeId, Message]]] = {}
-        if delivered_cap is not None:
-            from repro.mac.dedup import DeliveredRing
-
-            self._delivered: Any = DeliveredRing(delivered_cap)
-        else:
-            self._delivered = {}
+        self._delivered: dict[tuple[NodeId, str], Time] = {}
         self._missed_before_ack = 0
         self._required_deliveries = 0
 

@@ -1,36 +1,12 @@
-"""Run results: delivery logs and summary metrics."""
+"""Run results: the summary of one standard-model MMB execution."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ids import Message, MessageAssignment, MessageId, NodeId, Time
+from repro.ids import MessageId, NodeId, Time
 from repro.mac.messages import InstanceLog
-from repro.topology.dualgraph import DualGraph
-
-
-class DeliveryLog:
-    """Collects every MMB ``deliver(m)_i`` output of an execution."""
-
-    def __init__(self) -> None:
-        self._times: dict[tuple[NodeId, MessageId], Time] = {}
-
-    def record(self, node_id: NodeId, message: Message, time: Time) -> None:
-        """Sink callback handed to the MAC layer."""
-        self._times[(node_id, message.mid)] = time
-
-    @property
-    def times(self) -> dict[tuple[NodeId, MessageId], Time]:
-        """(node, message id) → delivery time."""
-        return self._times
-
-    def time_of(self, node_id: NodeId, mid: MessageId) -> Time | None:
-        """Delivery time of one message at one node, or None."""
-        return self._times.get((node_id, mid))
-
-    def nodes_holding(self, mid: MessageId) -> set[NodeId]:
-        """All nodes that delivered the message."""
-        return {node for (node, m) in self._times if m == mid}
+from repro.runtime.validate import MMBOutcome
 
 
 @dataclass
@@ -38,13 +14,9 @@ class RunResult:
     """Summary of one standard-model MMB execution.
 
     Attributes:
-        solved: True when every message reached its origin's whole
-            ``G``-component.
-        completion_time: Time of the last *required* delivery (the MMB
-            solution time); ``inf`` if unsolved.
-        per_message_completion: mid → time its last required delivery
-            happened.
-        deliveries: The full delivery log.
+        outcome: The MMB verdict (:func:`~repro.runtime.validate.mmb_outcome`
+            with every message owed to its origin's whole ``G``-component).
+        deliveries: Every ``deliver(m)_i`` output: (node, mid) → time.
         broadcast_count: Number of ``bcast`` events in the execution.
         rcv_count: Number of ``rcv`` events in the execution.
         instances: The instance log (input to the axiom checker); None when
@@ -53,16 +25,29 @@ class RunResult:
         wall_time: Host seconds the run took (for harness reporting only).
     """
 
-    solved: bool
-    completion_time: Time
-    per_message_completion: dict[MessageId, Time]
-    deliveries: DeliveryLog
+    outcome: MMBOutcome
+    deliveries: dict[tuple[NodeId, MessageId], Time]
     broadcast_count: int
     rcv_count: int
     instances: InstanceLog | None
     sim_events: int
     wall_time: float = 0.0
     per_message_latency: dict[MessageId, Time] | None = None
+
+    @property
+    def solved(self) -> bool:
+        """True when every message reached its origin's whole component."""
+        return self.outcome.solved
+
+    @property
+    def completion_time(self) -> Time:
+        """Time of the last required delivery; ``inf`` if unsolved."""
+        return self.outcome.completion_time
+
+    @property
+    def per_message_completion(self) -> dict[MessageId, Time]:
+        """mid → time its last required delivery happened."""
+        return self.outcome.message_times
 
     @property
     def max_latency(self) -> Time:
@@ -74,50 +59,3 @@ class RunResult:
         if not self.per_message_latency:
             return self.completion_time
         return max(self.per_message_latency.values(), default=0.0)
-
-    @staticmethod
-    def from_execution(
-        dual: DualGraph,
-        assignment: MessageAssignment,
-        deliveries: DeliveryLog,
-        instances: InstanceLog | None,
-        sim_events: int,
-        wall_time: float,
-        broadcast_count: int,
-        rcv_count: int,
-        arrival_times: dict[MessageId, Time] | None = None,
-    ) -> "RunResult":
-        """Assemble the result, computing solution status and times."""
-        per_message: dict[MessageId, Time] = {}
-        solved = True
-        for node, messages in assignment.messages.items():
-            component = dual.component_of(node)
-            for message in messages:
-                worst: Time = 0.0
-                for member in component:
-                    t = deliveries.time_of(member, message.mid)
-                    if t is None:
-                        solved = False
-                        worst = float("inf")
-                        break
-                    worst = max(worst, t)
-                per_message[message.mid] = worst
-        completion = max(per_message.values(), default=0.0)
-        latency: dict[MessageId, Time] | None = None
-        if arrival_times is not None:
-            latency = {
-                mid: per_message[mid] - arrival_times.get(mid, 0.0)
-                for mid in per_message
-            }
-        return RunResult(
-            solved=solved,
-            completion_time=completion,
-            per_message_completion=per_message,
-            deliveries=deliveries,
-            broadcast_count=broadcast_count,
-            rcv_count=rcv_count,
-            instances=instances,
-            sim_events=sim_events,
-            wall_time=wall_time,
-            per_message_latency=latency,
-        )

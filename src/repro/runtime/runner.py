@@ -19,7 +19,8 @@ from repro.mac.interfaces import Automaton
 from repro.mac.messages import InstanceLog
 from repro.mac.schedulers.base import Scheduler
 from repro.mac.standard import StandardMACLayer
-from repro.runtime.results import DeliveryLog, RunResult
+from repro.runtime.results import RunResult
+from repro.runtime.validate import mmb_outcome
 from repro.sim.kernel import Simulator
 from repro.topology.dualgraph import DualGraph
 
@@ -99,7 +100,6 @@ def run_standard(
     keep_instances: bool = True,
     mac_class: type[StandardMACLayer] = StandardMACLayer,
     fault_engine=None,
-    delivered_cap: int | None = None,
 ) -> RunResult:
     """Run one standard-model MMB execution to quiescence.
 
@@ -122,15 +122,11 @@ def run_standard(
         fault_engine: Optional fault/dynamics engine (see
             :mod:`repro.faults`); ``None`` runs fault-free, bit-identical
             to the pre-fault behavior.
-        delivered_cap: Bound the MAC layer's delivered/dedup state to this
-            many entries (ring-buffer eviction; see
-            :class:`repro.mac.dedup.DeliveredRing`) for steady-state
-            service runs.  ``None`` (default) keeps the unbounded dict.
 
     Returns:
         The summarized :class:`RunResult` (``solved`` keeps the paper's
-        full-component criterion; judge faulted runs with
-        :func:`repro.faults.survivor_outcome` instead).
+        full-component criterion; judge faulted runs among survivors by
+        passing the engine to :func:`repro.runtime.validate.mmb_outcome`).
     """
     if isinstance(assignment, ArrivalSchedule):
         schedule = assignment
@@ -145,19 +141,8 @@ def run_standard(
 
     started = _time.perf_counter()
     sim = Simulator(max_events=max_events)
-    deliveries = DeliveryLog()
     extra = {"fault_engine": fault_engine} if fault_engine is not None else {}
-    if delivered_cap is not None:
-        extra["delivered_cap"] = delivered_cap
-    mac = mac_class(
-        sim,
-        dual,
-        scheduler,
-        fack=fack,
-        fprog=fprog,
-        delivery_sink=deliveries.record,
-        **extra,
-    )
+    mac = mac_class(sim, dual, scheduler, fack=fack, fprog=fprog, **extra)
     for node_id in dual.nodes:
         mac.register(node_id, automaton_factory(node_id))
     mac.start()
@@ -166,14 +151,18 @@ def run_standard(
     sim.run(until=max_time)
     wall = _time.perf_counter() - started
 
-    return RunResult.from_execution(
-        dual=dual,
-        assignment=static_view,
-        deliveries=deliveries,
+    outcome = mmb_outcome(dual, static_view, mac.deliveries)
+    arrival_times = schedule.arrival_times()
+    return RunResult(
+        outcome=outcome,
+        deliveries=mac.deliveries,
+        broadcast_count=len(mac.instances),
+        rcv_count=mac.instances.total_rcv_events(),
         instances=mac.instances if keep_instances else None,
         sim_events=sim.processed_events,
         wall_time=wall,
-        broadcast_count=len(mac.instances),
-        rcv_count=mac.instances.total_rcv_events(),
-        arrival_times=schedule.arrival_times(),
+        per_message_latency={
+            mid: done - arrival_times.get(mid, 0.0)
+            for mid, done in outcome.message_times.items()
+        },
     )

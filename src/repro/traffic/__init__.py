@@ -8,8 +8,6 @@ time; ``repro.traffic`` turns the same simulator into a *service*:
   registry as the ``open_arrivals`` workload kind.
 - :mod:`repro.traffic.metrics` — warmup-trimmed throughput, latency
   percentiles, and in-flight gauges emitted as ordinary result metrics.
-- :class:`repro.mac.dedup.DeliveredRing` (re-exported here) — bounded
-  delivered/dedup state for never-ending streams (``delivered_cap``).
 - :mod:`repro.traffic.smoke` — the CI traffic-smoke check.
 
 Importing this package registers the arrival processes and the
@@ -17,7 +15,6 @@ Importing this package registers the arrival processes and the
 of its own init so specs, sweep workers, and the CLI all see them.
 """
 
-from repro.mac.dedup import DeliveredRing
 from repro.traffic.arrivals import (
     ARRIVAL_STREAM,
     ARRIVALS,
@@ -36,7 +33,6 @@ from repro.traffic.smoke import STEADY_GAUGES, traffic_smoke
 __all__ = [
     "ARRIVAL_STREAM",
     "ARRIVALS",
-    "DeliveredRing",
     "LATENCY_PERCENTILES",
     "SERIES_WINDOWS",
     "OpenArrivalSchedule",

@@ -89,7 +89,7 @@ def fingerprint(result: ExperimentResult) -> dict:
         return fp
     substrate = result.spec.substrate
     if substrate == "standard":
-        fp["deliveries"] = _deliveries_digest(raw.deliveries.times)
+        fp["deliveries"] = _deliveries_digest(raw.deliveries)
         if raw.instances is not None:
             fp["instances"] = _instances_digest(raw.instances)
     elif substrate == "protocol":

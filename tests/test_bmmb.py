@@ -64,7 +64,7 @@ def test_bmmb_delivers_each_message_once_per_node():
     rng = RandomSource(21)
     dual = line_network(6)
     result = run_bmmb(dual, single_source(3), UniformDelayScheduler(rng))
-    assert len(result.deliveries.times) == dual.n * 3
+    assert len(result.deliveries) == dual.n * 3
 
 
 def test_bmmb_multi_origin_assignment():
@@ -90,8 +90,8 @@ def test_bmmb_on_disconnected_graph_solves_per_component():
     result = run_bmmb(dual, assignment, UniformDelayScheduler(rng))
     assert result.solved
     # m0 must not be required (nor delivered) outside its component.
-    assert result.deliveries.time_of(3, "m0") is None
-    assert result.deliveries.time_of(0, "m1") is None
+    assert result.deliveries.get((3, "m0")) is None
+    assert result.deliveries.get((0, "m1")) is None
 
 
 def test_bmmb_respects_theorem_316_bound_gg():
@@ -202,7 +202,7 @@ def test_completion_time_equals_last_required_delivery():
     dual = line_network(7)
     result = run_bmmb(dual, single_source(2), UniformDelayScheduler(rng))
     last = max(
-        result.deliveries.time_of(v, mid)
+        result.deliveries.get((v, mid))
         for v in dual.nodes
         for mid in ("m0", "m1")
     )

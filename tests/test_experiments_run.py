@@ -91,8 +91,8 @@ def test_standard_substrate_matches_legacy_run_standard():
     assert result.solved == legacy.solved
     assert result.completion_time == legacy.completion_time
     assert result.broadcast_count == legacy.broadcast_count
-    assert result.delivered_count == len(legacy.deliveries.times)
-    assert result.raw.deliveries.times == legacy.deliveries.times
+    assert result.delivered_count == len(legacy.deliveries)
+    assert result.raw.deliveries == legacy.deliveries
 
 
 def test_standard_substrate_supports_arrival_schedules():

@@ -80,7 +80,7 @@ def test_fault_none_matches_the_legacy_imperative_runner():
         FPROG,
     )
     assert result.completion_time == legacy.completion_time
-    assert result.raw.deliveries.times == legacy.deliveries.times
+    assert result.raw.deliveries == legacy.deliveries
 
 
 def test_materialize_fault_engine_is_none_when_disabled():
@@ -154,7 +154,7 @@ def test_old_json_without_fault_field_still_loads():
 def test_crash_cutting_the_line_fails_survivor_mmb():
     from repro import line_network
     from repro.faults import FaultEngine, FaultEvent, FaultKind, FaultPlan
-    from repro.faults import survivor_outcome
+    from repro.runtime.validate import mmb_outcome
 
     dual = line_network(8)
     # Node 3 crashes before the flood from node 0 can cross it.
@@ -169,10 +169,10 @@ def test_crash_cutting_the_line_fails_survivor_mmb():
         FPROG,
         fault_engine=engine,
     )
-    outcome = survivor_outcome(
+    outcome = mmb_outcome(
         dual,
         MessageAssignment.single_source(0, 1),
-        result.deliveries.times,
+        result.deliveries,
         engine,
     )
     # Survivors beyond the cut (4..7) can never receive the message.
@@ -180,7 +180,7 @@ def test_crash_cutting_the_line_fails_survivor_mmb():
     assert outcome.completion_time == math.inf
     assert outcome.required == 7  # all survivors of node 0's component
     assert 0 < outcome.met < outcome.required
-    delivered_nodes = {node for node, _ in result.deliveries.times}
+    delivered_nodes = {node for node, _ in result.deliveries}
     assert delivered_nodes <= {0, 1, 2, 3}
     # Every instance terminated despite the dead reliable neighbor
     # (the fault-mode fallback acknowledgment at Fack guarantees it).
@@ -192,7 +192,7 @@ def test_crash_before_arrival_loses_the_message():
     from repro import line_network
     from repro.core.problem import Arrival, ArrivalSchedule
     from repro.faults import FaultEngine, FaultEvent, FaultKind, FaultPlan
-    from repro.faults import survivor_outcome
+    from repro.runtime.validate import mmb_outcome
     from repro.ids import Message
 
     dual = line_network(6)
@@ -210,8 +210,8 @@ def test_crash_before_arrival_loses_the_message():
     )
     assert engine.counters["messages_lost"] == 1
     assert "late" in engine.lost_message_ids
-    outcome = survivor_outcome(
-        dual, schedule.as_assignment(), result.deliveries.times, engine
+    outcome = mmb_outcome(
+        dual, schedule.as_assignment(), result.deliveries, engine
     )
     # The lost message imposes no survivor obligations.
     assert outcome.required == 0
@@ -269,8 +269,8 @@ def test_churn_join_defers_the_messages_to_the_join_time():
     )
     assert engine.counters["messages_deferred"] == 1
     # Nothing could be delivered before the origin joined at t=7.
-    assert result.deliveries.times
-    assert min(result.deliveries.times.values()) >= 7.0
+    assert result.deliveries
+    assert min(result.deliveries.values()) >= 7.0
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +613,7 @@ def test_deferred_churn_message_obliges_peers_present_at_its_injection():
     # was present for the whole flood of m0 and IS owed it.
     from repro import line_network
     from repro.faults import FaultEngine, FaultEvent, FaultKind, FaultPlan
-    from repro.faults import survivor_outcome
+    from repro.runtime.validate import mmb_outcome
 
     dual = line_network(3)
     plan = FaultPlan.of(
@@ -628,10 +628,10 @@ def test_deferred_churn_message_obliges_peers_present_at_its_injection():
     assignment = MessageAssignment.single_source(0, 1)
     (mid,) = [m.mid for m in assignment.all_messages()]
     deliveries = {(0, mid): 5.0, (1, mid): 5.5}  # node 2 never got it
-    outcome = survivor_outcome(dual, assignment, deliveries, engine)
+    outcome = mmb_outcome(dual, assignment, deliveries, engine)
     assert outcome.required == 3  # the deferred message obliges everyone
     assert not outcome.solved
-    solved = survivor_outcome(
+    solved = mmb_outcome(
         dual, assignment, {**deliveries, (2, mid): 6.0}, engine
     )
     assert solved.solved and solved.completion_time == 6.0

@@ -68,11 +68,11 @@ def test_messages_stay_in_their_components():
     assert result.solved
     a_set = set(net.a_nodes)
     for node in net.a_nodes:
-        assert result.deliveries.time_of(node, "m0") is not None
+        assert result.deliveries.get((node, "m0")) is not None
     # Delivery of m0 along line A is paced at one hop per Fack.
     for i, node in enumerate(net.a_nodes):
         expected = i * FACK
-        assert result.deliveries.time_of(node, "m0") == pytest.approx(expected)
+        assert result.deliveries.get((node, "m0")) == pytest.approx(expected)
     assert a_set == set(net.a_nodes)
 
 

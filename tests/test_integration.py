@@ -163,4 +163,4 @@ def test_end_to_end_reproducibility(seed):
     res_a = run_bmmb(dual_a, single_source(2), UniformDelayScheduler(rng_a.child("s")))
     res_b = run_bmmb(dual_b, single_source(2), UniformDelayScheduler(rng_b.child("s")))
     assert res_a.completion_time == res_b.completion_time
-    assert res_a.deliveries.times == res_b.deliveries.times
+    assert res_a.deliveries == res_b.deliveries

@@ -187,17 +187,10 @@ def test_zero_time_bcast_rcv_ack_chain():
 
 
 def test_delivery_sink_records_deliver_outputs():
-    sink_calls = []
+    """The layer's ``deliveries`` dict is the one sink of deliver outputs."""
     sim = Simulator()
     dual = line_network(3)
-    mac = StandardMACLayer(
-        sim,
-        dual,
-        ManualScheduler(),
-        fack=10.0,
-        fprog=1.0,
-        delivery_sink=lambda n, m, t: sink_calls.append((n, m.mid, t)),
-    )
+    mac = StandardMACLayer(sim, dual, ManualScheduler(), fack=10.0, fprog=1.0)
 
     class Deliverer(Automaton):
         def on_arrive(self, api, message):
@@ -208,7 +201,7 @@ def test_delivery_sink_records_deliver_outputs():
     mac.start()
     mac.inject_arrival(0, Message("m0", 0))
     sim.run()
-    assert sink_calls == [(0, "m0", 0.0)]
+    assert mac.deliveries == {(0, "m0"): 0.0}
 
 
 def test_duplicate_deliver_output_rejected():

@@ -166,7 +166,7 @@ def test_bmmb_delivery_times_monotone_along_line(seed):
         FACK,
         FPROG,
     )
-    times = [result.deliveries.time_of(v, "m0") for v in dual.nodes]
+    times = [result.deliveries.get((v, "m0")) for v in dual.nodes]
     assert all(t is not None for t in times)
     assert times == sorted(times)
 

@@ -8,13 +8,15 @@ import pytest
 
 from repro.core.bmmb import BMMBNode
 from repro.errors import ExperimentError
+from repro.experiments import RunOptions, run
+from repro.experiments.substrates import smoke_spec
 from repro.ids import MessageAssignment
 from repro.mac.enhanced import EnhancedMACLayer
 from repro.mac.schedulers import UniformDelayScheduler, WorstCaseAckScheduler
 from repro.runtime.runner import run_standard
-from repro.runtime.validate import missing_deliveries, required_deliveries, solved
+from repro.runtime.validate import mmb_outcome, required_deliveries
 from repro.sim.rng import RandomSource
-from repro.topology import line_network
+from repro.topology import DualGraph, line_network
 
 from tests.conftest import FACK, FPROG, run_bmmb, single_source
 
@@ -103,8 +105,9 @@ def test_validate_helpers_agree_with_result():
     dual = line_network(6)
     assignment = single_source(2)
     result = run_bmmb(dual, assignment, UniformDelayScheduler(rng))
-    assert solved(dual, assignment, result.deliveries) == result.solved
-    assert missing_deliveries(dual, assignment, result.deliveries) == {}
+    outcome = mmb_outcome(dual, assignment, result.deliveries)
+    assert outcome == result.outcome
+    assert outcome.solved and outcome.met == outcome.required == 2 * dual.n
     req = required_deliveries(dual, assignment)
     assert req["m0"] == frozenset(dual.nodes)
 
@@ -113,6 +116,53 @@ def test_missing_deliveries_reports_gap_on_truncated_run():
     dual = line_network(20)
     assignment = single_source(1)
     result = run_bmmb(dual, assignment, WorstCaseAckScheduler(), max_time=0.5)
-    gaps = missing_deliveries(dual, assignment, result.deliveries)
-    assert "m0" in gaps
-    assert len(gaps["m0"]) > 0
+    outcome = mmb_outcome(dual, assignment, result.deliveries)
+    assert outcome.message_times["m0"] == math.inf
+    assert 0 < outcome.met < outcome.required == dual.n
+    missing = {v for v in dual.nodes if (v, "m0") not in result.deliveries}
+    assert len(missing) == outcome.required - outcome.met
+
+
+# ----------------------------------------------------------------------
+# The MMB verdict (mmb_outcome) on a hand-built dual graph
+# ----------------------------------------------------------------------
+def _two_components() -> DualGraph:
+    # G has components {0, 1, 2} and {3, 4}; the grey edge 2-3 joins them
+    # in G' only, so it creates no delivery obligation.
+    return DualGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)], [(2, 3)])
+
+
+def test_mmb_outcome_missing_delivery_leaves_message_unsolved():
+    dual = _two_components()
+    assignment = MessageAssignment.one_each([0, 3], "m")
+    deliveries = {
+        (0, "m0"): 0.0,
+        (1, "m0"): 2.0,
+        (3, "m1"): 0.0,
+        (4, "m1"): 3.5,
+    }  # node 2 never delivers m0
+    outcome = mmb_outcome(dual, assignment, deliveries)
+    assert outcome.message_times == {"m0": math.inf, "m1": 3.5}
+    assert not outcome.solved
+    assert outcome.completion_time == math.inf
+    assert outcome.latest == 3.5
+    assert (outcome.required, outcome.met) == (5, 4)
+    solved = mmb_outcome(dual, assignment, {**deliveries, (2, "m0"): 4.0})
+    assert solved.solved
+    assert solved.completion_time == solved.latest == 4.0
+    assert solved.message_times == {"m0": 4.0, "m1": 3.5}
+
+
+def test_mmb_outcome_of_empty_assignment_is_solved_at_zero():
+    outcome = mmb_outcome(_two_components(), MessageAssignment(), {})
+    assert outcome.solved
+    assert outcome.completion_time == 0.0
+    assert outcome.message_times == {}
+    assert (outcome.required, outcome.met) == (0, 0)
+
+
+@pytest.mark.parametrize("substrate", ["standard", "rounds", "radio"])
+def test_fault_free_verdict_adds_no_survivor_gauges(substrate):
+    result = run(smoke_spec(substrate), RunOptions.summary())
+    assert result.solved
+    assert not [name for name in result.metrics if name.startswith("survivor_")]

@@ -47,11 +47,11 @@ def test_delivers_are_unique_and_only_for_injected_messages():
         FPROG,
     )
     injected = {m.mid for m in assignment.all_messages()}
-    delivered_mids = {mid for (_, mid) in result.deliveries.times}
+    delivered_mids = {mid for (_, mid) in result.deliveries}
     assert delivered_mids <= injected
     # Uniqueness is structural (dict keyed by (node, mid)) *and* enforced:
     # the MAC raises on duplicates, so reaching here certifies clause (b).
-    assert len(result.deliveries.times) == len(set(result.deliveries.times))
+    assert len(result.deliveries) == len(set(result.deliveries))
 
 
 def test_every_deliver_follows_the_message_arrival():
@@ -65,7 +65,7 @@ def test_every_deliver_follows_the_message_arrival():
         FACK,
         FPROG,
     )
-    for (node, mid), t in result.deliveries.times.items():
+    for (node, mid), t in result.deliveries.items():
         assert t >= 0.0  # arrivals are at time 0; delivers cannot precede
         # The origin delivers at arrival; everyone else strictly later.
         if node != 3:

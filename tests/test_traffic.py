@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from repro.errors import ExperimentError
 from repro.experiments import (
     AlgorithmSpec,
     ExperimentSpec,
+    FaultSpec,
     ModelSpec,
     RunOptions,
     SchedulerSpec,
@@ -19,9 +21,6 @@ from repro.experiments import (
     materialize_workload,
     run,
 )
-from repro.ids import MessageAssignment
-from repro.mac.dedup import DeliveredRing
-from repro.mac.schedulers import UniformDelayScheduler
 from repro.runtime.observations import Probe
 from repro.sim.rng import RandomSource
 from repro.topology import line_network
@@ -33,8 +32,6 @@ from repro.traffic import (
     steady_state_metrics,
     window_series,
 )
-
-from tests.conftest import run_bmmb
 
 
 def _open_spec(substrate="standard", *, process="poisson", seed=11, **params):
@@ -244,69 +241,6 @@ def test_windowed_probe_rejects_unknown_kind():
 
 
 # ----------------------------------------------------------------------
-# Bounded delivered-state (DeliveredRing)
-# ----------------------------------------------------------------------
-def test_delivered_ring_evicts_fifo():
-    ring = DeliveredRing(2)
-    ring["a"] = 1.0
-    ring["b"] = 2.0
-    ring["c"] = 3.0
-    assert "a" not in ring
-    assert "b" in ring and "c" in ring
-    assert len(ring) == 2
-    assert ring.evictions == 1
-
-
-def test_delivered_ring_updates_do_not_evict():
-    ring = DeliveredRing(2)
-    ring["a"] = 1.0
-    ring["b"] = 2.0
-    ring["a"] = 9.0
-    assert ring["a"] == 9.0
-    assert ring.evictions == 0
-    assert len(ring) == 2
-
-
-def test_delivered_ring_validates_cap():
-    with pytest.raises(ExperimentError, match="cap"):
-        DeliveredRing(0)
-
-
-def test_delivered_cap_is_transparent_when_large():
-    """A cap above the in-flight population never evicts, so the run is
-    identical to the unbounded dict."""
-    dual = line_network(8)
-    assignment = MessageAssignment.one_each([1, 3, 5], "m")
-
-    def go(**kwargs):
-        return run_bmmb(
-            dual, assignment, UniformDelayScheduler(RandomSource(4)), **kwargs
-        )
-
-    plain, capped = go(), go(delivered_cap=10_000)
-    assert capped.solved == plain.solved
-    assert capped.completion_time == plain.completion_time
-    assert capped.per_message_completion == plain.per_message_completion
-
-
-def test_delivered_cap_via_spec_params():
-    spec = _open_spec()
-    capped = ExperimentSpec(
-        name=spec.name,
-        topology=spec.topology,
-        algorithm=spec.algorithm,
-        scheduler=spec.scheduler,
-        workload=spec.workload,
-        model=ModelSpec(params={"delivered_cap": 4096}),
-        substrate=spec.substrate,
-        seed=spec.seed,
-    )
-    base, bounded = run(spec, RunOptions.summary()), run(capped, RunOptions.summary())
-    assert bounded.solved == base.solved
-    assert bounded.metrics == base.metrics
-
-
-# ----------------------------------------------------------------------
 # End to end: open arrivals through run()
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("substrate", ["standard", "radio", "sinr"])
@@ -321,6 +255,26 @@ def test_open_arrivals_emit_steady_gauges(substrate):
         <= result.metrics["latency_p95"]
         <= result.metrics["latency_p99"]
     )
+
+
+@pytest.mark.parametrize("substrate", ["standard", "radio", "sinr"])
+def test_faulted_open_arrivals_measure_the_survivor_verdict(substrate):
+    """Under faults the steady gauges read the verdict in force: a run
+    solved among survivors measures its delivered messages (standard used
+    to read full-component times, radio/sinr emitted no gauges)."""
+    spec = dataclasses.replace(
+        _open_spec(substrate),
+        fault=FaultSpec("crash_random", {"fraction": 0.2}),
+    )
+    result = run(spec, RunOptions.summary())
+    metrics = result.metrics
+    assert result.solved and metrics["survivor_solved"] == 1.0
+    # The one message lost to a dead origin is the one that never completes.
+    assert metrics["messages_lost"] == 1.0
+    assert metrics["arrivals_measured"] == 8.0
+    assert metrics["delivered_measured"] == 7.0
+    assert math.isfinite(metrics["latency_p95"])
+    assert result.series["window_latency_mean"]
 
 
 def test_time_zero_workloads_report_no_steady_gauges():
