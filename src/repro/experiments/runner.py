@@ -42,6 +42,7 @@ from repro.experiments.substrates import (
     ExecutionContext,
     RadioRun,
     check_capabilities,
+    check_model_params,
     check_workload_capability,
     clear_topology_cache,
     materialize_fault_engine,
@@ -310,13 +311,15 @@ def run(
         The :class:`ExperimentResult`.
 
     Raises:
-        ExperimentError: Unknown substrate, or a capability mismatch
+        ExperimentError: Unknown substrate, a capability mismatch
             (e.g. a fault scenario on a substrate with
-            ``supports_faults=False``).
+            ``supports_faults=False``), or a ``model.params`` key the
+            substrate does not read.
     """
     opts = options if options is not None else RunOptions()
     substrate = SUBSTRATES.get(spec.substrate)
     check_capabilities(spec, substrate)
+    check_model_params(spec, substrate)
     started = _time.perf_counter()
     record_stream = opts.keep_raw or opts.journal is not None
     ctx = ExecutionContext(

@@ -136,7 +136,9 @@ class ModelSpec:
         max_time: Optional wall on simulated time.
         max_events: Simulator event budget.
         params: Substrate-specific extras (e.g. ``max_slots``,
-            ``slot_duration``, ``adaptive`` for the radio substrate).
+            ``slot_duration``, ``adaptive`` for the radio substrate);
+            ``run`` rejects a key the substrate does not list in its
+            ``model_params``.
 
     Each radio model has one reception pass, so there is nothing to
     select: :meth:`from_dict` accepts a stored ``"engine": "reference"``

@@ -470,6 +470,9 @@ class SubstrateBase:
     #: ``seeded`` (engine-owned scheduler derived from the seed), or
     #: ``emergent`` (contention in the engine is the scheduler).
     scheduler_role: str = "explicit"
+    #: The ``spec.model.params`` keys the substrate reads; :func:`run`
+    #: rejects any other key (see :func:`check_model_params`).
+    model_params: frozenset[str] = frozenset()
 
     def describe(self) -> str:
         """One-line description (the class docstring's first line)."""
@@ -573,6 +576,24 @@ def check_capabilities(spec: ExperimentSpec, substrate: Substrate) -> None:
         )
 
 
+def check_model_params(spec: ExperimentSpec, substrate: Substrate) -> None:
+    """Reject ``spec.model.params`` keys the substrate does not read.
+
+    A substrate lists the keys it reads in ``model_params`` (none when it
+    declares nothing), so a misspelt or retired param is a clear
+    :class:`~repro.errors.ExperimentError` on every substrate instead of
+    a silent no-op on one and a constructor ``TypeError`` on another.
+    """
+    accepted = getattr(substrate, "model_params", frozenset())
+    unknown = sorted(set(spec.model.params) - accepted)
+    if unknown:
+        raise ExperimentError(
+            f"unknown model.params key {', '.join(map(repr, unknown))} "
+            f"for substrate {substrate.name!r} (accepted: "
+            f"{', '.join(sorted(accepted)) or 'none'})"
+        )
+
+
 def check_workload_capability(
     ctx: ExecutionContext, substrate: Substrate
 ) -> None:
@@ -672,6 +693,21 @@ def _judge_mmb(
     return verdict
 
 
+def _max_latency(verdict: MMBOutcome, workload) -> float:
+    """Worst arrival→last-owed-delivery latency over the verdict's
+    messages (its completion time when it owes none), as
+    :attr:`~repro.runtime.results.RunResult.max_latency` computes it."""
+    if not verdict.message_times:
+        return verdict.completion_time
+    arrivals = (
+        workload.arrival_times() if isinstance(workload, ArrivalSchedule) else {}
+    )
+    return max(
+        done - arrivals.get(mid, 0.0)
+        for mid, done in verdict.message_times.items()
+    )
+
+
 # ----------------------------------------------------------------------
 # Built-in substrates
 # ----------------------------------------------------------------------
@@ -717,6 +753,9 @@ class StandardSubstrate(SubstrateBase):
             verdict = _judge_mmb(
                 ctx, workload, result.deliveries, engine, result.outcome
             )
+            if engine is not None:
+                # Judged among survivors, as the steady gauges are.
+                probe.gauge("max_latency", _max_latency(verdict, workload))
             if ctx.record_observations:
                 ctx.observe_workload_arrivals()
                 if result.instances is not None:
@@ -905,6 +944,18 @@ class RadioSubstrate(SubstrateBase):
     #: MAC registry key the adapter is built from; the ``sinr`` subclass
     #: swaps the reception model by naming a different entry.
     mac_key = "radio"
+    #: ``max_slots`` bounds the slot loop; the rest are the adapter's
+    #: keywords.
+    model_params = frozenset(
+        {
+            "max_slots",
+            "slot_duration",
+            "p_unreliable_live",
+            "adaptive",
+            "phases",
+            "depth",
+        }
+    )
 
     def prepare(self, ctx: ExecutionContext) -> Execution:
         spec = ctx.spec
@@ -968,6 +1019,14 @@ class SINRSubstrate(RadioSubstrate):
     """Slotted SINR-reception radio (distance-based signal/interference)."""
 
     mac_key = "sinr"
+    #: The SINR model constants replace the collision radio's fading.
+    model_params = (RadioSubstrate.model_params - {"p_unreliable_live"}) | {
+        "alpha",
+        "beta",
+        "power",
+        "reach",
+        "noise",
+    }
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,17 @@ neighbors.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from repro.errors import MACError
 from repro.sim.rng import RandomSource
+
+
+@lru_cache(maxsize=None)
+def _thresholds(depth: int, phases: int) -> tuple[float, ...]:
+    """Per-step transmit probabilities ``2^{-(j mod (depth+1))}``."""
+    period = depth + 1
+    return tuple(2.0 ** -(step % period) for step in range(phases * period))
 
 
 class DecaySchedule:
@@ -28,9 +36,16 @@ class DecaySchedule:
     ``2^{-j}``.  The schedule occupies :attr:`total_steps` slots from its
     start; its last slot is the point at which a real MAC would hand the
     sender its next packet, i.e. the abstract MAC layer's acknowledgment
-    (footnote 1).  :meth:`next_transmission` yields the steps in which the
-    sender transmits, so a caller can book them ahead instead of polling
-    every slot.
+    (footnote 1).
+
+    Every step's coin is drawn when the schedule is built, in step order,
+    from ``rng``'s backing stream (step ``j`` of a phase transmits iff its
+    coin is below ``2^{-j}``).  :attr:`plan` holds the steps that
+    transmit, ascending, so a caller books them all at once instead of
+    polling every slot.  The stream is the schedule's own, so drawing the
+    coins ahead of the slots they belong to changes nothing another
+    component sees, and a sender that dies mid-schedule leaves only unused
+    plan entries behind.
 
     Args:
         depth: ``L`` = ceil(log2(max contention)) — the deepest probability
@@ -40,6 +55,8 @@ class DecaySchedule:
         rng: Random stream for transmission coins.
     """
 
+    __slots__ = ("depth", "phases", "plan")
+
     def __init__(self, depth: int, phases: int, rng: RandomSource):
         if depth < 0:
             raise MACError(f"depth must be >= 0, got {depth}")
@@ -47,50 +64,20 @@ class DecaySchedule:
             raise MACError(f"phases must be >= 1, got {phases}")
         self.depth = depth
         self.phases = phases
-        self._rng = rng
-        # Bound C-level draw for the per-slot coin (bernoulli(p) is
-        # exactly `random() < p` on the same stream).
-        self._random = rng.raw.random
-        self._step = 0
-        self._total_steps = phases * (depth + 1)
-
-    @property
-    def complete(self) -> bool:
-        """True once every step's coin has been drawn."""
-        return self._step >= self._total_steps
-
-    @property
-    def steps_taken(self) -> int:
-        """Steps whose coins have been drawn so far."""
-        return self._step
+        # bernoulli(p) is exactly `random() < p` on the same stream.
+        random_f = rng.raw.random
+        self.plan: tuple[int, ...] = tuple(
+            [
+                step
+                for step, threshold in enumerate(_thresholds(depth, phases))
+                if random_f() < threshold
+            ]
+        )
 
     @property
     def total_steps(self) -> int:
         """Slots the full schedule occupies (the deterministic ack delay)."""
-        return self._total_steps
-
-    def next_transmission(self) -> int | None:
-        """Advance to the next step whose coin says transmit; return it.
-
-        Draws the schedule's per-step coins in step order (step ``j`` of a
-        phase transmits iff its coin is below ``2^{-j}``) until one
-        succeeds, and returns that step's index.  Returns ``None`` once
-        the schedule is exhausted.  The coins come from this schedule's
-        own stream, so drawing them ahead of the slots they belong to
-        changes nothing another component sees.
-        """
-        period = self.depth + 1
-        step = self._step
-        total = self._total_steps
-        random_f = self._random
-        while step < total:
-            within_phase = step % period
-            step += 1
-            if random_f() < 2.0 ** (-within_phase):
-                self._step = step
-                return step - 1
-        self._step = step
-        return None
+        return self.phases * (self.depth + 1)
 
 
 def decay_depth_for(max_contention: int) -> int:

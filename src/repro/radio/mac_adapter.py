@@ -22,17 +22,18 @@ network with the same ``run_slot`` surface, such as the SINR radio of
 
 The adapter does work only for the senders that act in a slot.  Each
 schedule run is an ``_ActiveBroadcast`` with a start slot (the radio's
-slot counter when ``bcast`` or an adaptive re-arm made it).  The adapter
-books it in two slot-keyed calendars: ``_transmit_at`` holds the slot of
-its next transmission (:meth:`DecaySchedule.next_transmission` draws that
-schedule's coins up to the next success), and ``_finish_at`` holds its
-last slot, ``start + total_steps - 1``.  A slot pops its own entries of
-each, senders ascending, and a transmitter books its next transmission
-as it is popped.  Entries whose broadcast is no longer the sender's
-active one (crashed, acknowledged, re-armed) are skipped.  Booking ahead
-draws a schedule's coins early, which is safe: each schedule draws from
-its own child stream, through ``raw``, so no other component's draws
-move and a crashed sender's unused coins affect nothing.
+slot counter when ``bcast`` or an adaptive re-arm made it).  A
+:class:`DecaySchedule` draws all of its coins when it is built, so
+arming a run books it whole in two slot-keyed calendars:
+``_transmit_at`` gets one entry per step of the schedule's
+:attr:`~DecaySchedule.plan` (slot ``start + step``), and ``_finish_at``
+gets its last slot, ``start + total_steps - 1``.  A slot pops its own
+entries of each, senders ascending, and skips those whose broadcast is
+no longer the sender's active one (crashed, acknowledged, re-armed), so
+the unused rest of a dead run's plan never fires.  Drawing a schedule's
+coins ahead of their slots is safe: each schedule draws from its own
+child stream, through ``raw``, so no other component's draws move and a
+crashed sender's unused coins affect nothing.
 
 The point of the adapter is :func:`empirical_bounds`: it extracts from a
 finished execution the smallest ``Fack`` and ``Fprog`` for which the
@@ -104,20 +105,17 @@ class _RadioBinding:
 
 
 class _ActiveBroadcast:
-    """A sender's in-flight instance plus one decay schedule run.
+    """A sender's in-flight instance in one decay schedule run.
 
     ``start`` is the slot of the schedule's step 0; an adaptive re-arm
     makes a new object for the same instance, so a calendar entry names
     exactly one schedule run.
     """
 
-    __slots__ = ("instance", "schedule", "start")
+    __slots__ = ("instance", "start")
 
-    def __init__(
-        self, instance: MessageInstance, schedule: DecaySchedule, start: int
-    ):
+    def __init__(self, instance: MessageInstance, start: int):
         self.instance = instance
-        self.schedule = schedule
         self.start = start
 
 
@@ -143,7 +141,7 @@ class RadioMACLayer:
             edges stop fading while reliable.
         network: A pre-built slot-reception network implementing the
             :class:`~repro.radio.slotted.SlottedRadioNetwork` surface
-            (``run_slot`` / ``slot`` / ``stats`` / ``fault_engine``).
+            (``run_slot`` / ``slot`` / ``last_stats`` / ``fault_engine``).
             ``None`` (the default) builds the binary collision radio over
             the ``fading`` child stream exactly as before; the ``sinr``
             substrate injects an
@@ -249,19 +247,16 @@ class RadioMACLayer:
 
     def _arm(self, sender: NodeId, instance: MessageInstance, stream: str) -> None:
         """Start a decay schedule for ``instance`` at the current slot and
-        book its first transmission and its finishing slot."""
+        book every transmission of its plan and its finishing slot."""
         schedule = DecaySchedule(self.depth, self.phases, self._rng.child(stream))
-        active = _ActiveBroadcast(instance, schedule, self.radio.slot)
+        active = _ActiveBroadcast(instance, self.radio.slot)
         self._active[sender] = active
-        self._book_transmission(sender, active)
-        finish = active.start + schedule.total_steps - 1
-        self._finish_at.setdefault(finish, []).append((sender, active))
-
-    def _book_transmission(self, sender: NodeId, active: _ActiveBroadcast) -> None:
-        step = active.schedule.next_transmission()
-        if step is not None:
-            slot = active.start + step
-            self._transmit_at.setdefault(slot, []).append((sender, active))
+        start, entry = active.start, (sender, active)
+        transmit_at = self._transmit_at
+        for step in schedule.plan:
+            transmit_at.setdefault(start + step, []).append(entry)
+        finish = start + schedule.total_steps - 1
+        self._finish_at.setdefault(finish, []).append(entry)
 
     # ------------------------------------------------------------------
     # Execution
@@ -372,7 +367,6 @@ class RadioMACLayer:
         transmissions = {}
         for sender, active in self._due(self._transmit_at, slot):
             transmissions[sender] = active.instance
-            self._book_transmission(sender, active)
         receptions = self.radio.run_slot(transmissions)
         slot_end = self.now  # run_slot advanced the slot counter
         for listener in sorted(receptions):

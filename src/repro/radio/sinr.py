@@ -29,7 +29,7 @@ Semantics per slot:
   on the binary radio.
 
 The class mirrors :class:`~repro.radio.slotted.SlottedRadioNetwork`'s
-surface (``run_slot`` / ``slot`` / ``stats`` / ``fault_engine``), so
+surface (``run_slot`` / ``slot`` / ``last_stats`` / ``fault_engine``), so
 :class:`~repro.radio.mac_adapter.RadioMACLayer` drives it unchanged —
 BMMB runs on SINR exactly as it runs on the collision radio, and the
 adapter's empirical ``Fack``/``Fprog`` extraction applies as-is.
@@ -123,7 +123,9 @@ class SINRRadioNetwork:
         self.noise = noise
         self._slot_pass: SlotPass | None = None  # built lazily on the first slot
         self.slot = 0
-        self.stats: list[SlotStats] = []
+        #: Counters of the most recent slot (``None`` before the first);
+        #: earlier slots' counters are not kept.
+        self.last_stats: SlotStats | None = None
         #: Optional :class:`~repro.faults.engine.FaultEngine` (set by the
         #: radio MAC adapter): dead nodes neither transmit nor listen.
         self.fault_engine = None
@@ -141,13 +143,11 @@ class SINRRadioNetwork:
         if self._slot_pass is None:
             self._slot_pass = _sinr_reference_pass(self)
         receptions, collisions = self._slot_pass(transmissions)
-        self.stats.append(
-            SlotStats(
-                slot=self.slot,
-                transmitters=len(transmissions),
-                receptions=len(receptions),
-                collisions=collisions,
-            )
+        self.last_stats = SlotStats(
+            slot=self.slot,
+            transmitters=len(transmissions),
+            receptions=len(receptions),
+            collisions=collisions,
         )
         self.slot += 1
         return receptions

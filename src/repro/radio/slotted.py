@@ -74,7 +74,9 @@ class SlottedRadioNetwork:
         self.p_unreliable_live = p_unreliable_live
         self._slot_pass: SlotPass | None = None  # built lazily on the first slot
         self.slot = 0
-        self.stats: list[SlotStats] = []
+        #: Counters of the most recent slot (``None`` before the first);
+        #: earlier slots' counters are not kept.
+        self.last_stats: SlotStats | None = None
         #: Optional :class:`~repro.faults.engine.FaultEngine` (set by the
         #: radio MAC adapter): dead nodes neither transmit nor listen, and
         #: flapped-up grey edges stop fading while they are reliable.
@@ -93,13 +95,11 @@ class SlottedRadioNetwork:
         if self._slot_pass is None:
             self._slot_pass = _slotted_reference_pass(self)
         receptions, collisions = self._slot_pass(transmissions)
-        self.stats.append(
-            SlotStats(
-                slot=self.slot,
-                transmitters=len(transmissions),
-                receptions=len(receptions),
-                collisions=collisions,
-            )
+        self.last_stats = SlotStats(
+            slot=self.slot,
+            transmitters=len(transmissions),
+            receptions=len(receptions),
+            collisions=collisions,
         )
         self.slot += 1
         return receptions

@@ -46,10 +46,12 @@ from repro.experiments import (
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
+    get_substrate,
     materialize_topology,
     materialize_workload,
     run,
 )
+from repro.experiments.substrates import check_model_params
 from repro.experiments.sweep import path_value, with_path
 
 BUILTINS = (
@@ -187,6 +189,14 @@ def test_all_figures_crossover_check_names_its_prefixed_sweeps():
     )
     assert [o.failures for o in outcomes] == [o.failures for o in expected]
     assert all(o.ok for o in outcomes)
+
+
+def test_builtin_points_set_only_model_params_their_substrate_reads():
+    """No built-in campaign point trips the model.params check."""
+    for name in list_campaigns():
+        for point in expand_points(build_campaign(name)):
+            spec = point.spec
+            check_model_params(spec, get_substrate(spec.substrate))
 
 
 def test_workload_k_counts_the_messages_each_builtin_point_injects():

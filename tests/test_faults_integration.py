@@ -88,6 +88,17 @@ def test_materialize_fault_engine_is_none_when_disabled():
     assert materialize_fault_engine(spec, materialize_topology(spec)) is None
 
 
+def test_faulted_time_zero_max_latency_is_the_survivor_completion():
+    """With every message injected at time 0, the worst latency among
+    survivors is the survivor verdict's completion time."""
+    spec = standard_spec(
+        FaultSpec("crash_random", {"fraction": 0.25, "latest": 0.3})
+    )
+    result = run(spec, RunOptions.summary())
+    assert result.solved and result.metrics["nodes_crashed"] > 0
+    assert result.metrics["max_latency"] == result.completion_time
+
+
 # ----------------------------------------------------------------------
 # Determinism with faults, on every substrate
 # ----------------------------------------------------------------------

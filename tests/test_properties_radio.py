@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import FaultSpec, RunOptions, run, smoke_spec
 from repro.faults.engine import FaultEngine
 from repro.faults.events import FaultEvent, FaultKind
 from repro.faults.plan import FaultPlan
@@ -63,16 +66,11 @@ def test_reception_invariants(n, transmitter_mask, seed):
 @settings(max_examples=60, deadline=None)
 def test_decay_schedule_always_terminates_exactly(depth, phases, seed):
     sched = DecaySchedule(depth, phases, RandomSource(seed))
-    transmitted = 0
-    step = sched.next_transmission()
-    while step is not None:
-        transmitted += 1
-        assert transmitted <= phases * (depth + 1)
-        step = sched.next_transmission()
-    assert sched.complete
-    assert sched.steps_taken == phases * (depth + 1)
+    assert sched.total_steps == phases * (depth + 1)
+    assert list(sched.plan) == sorted(set(sched.plan))
+    assert all(0 <= step < sched.total_steps for step in sched.plan)
     # Slot 0 of each phase always transmits, so at least `phases` sends.
-    assert transmitted >= phases
+    assert len(sched.plan) >= phases
 
 
 def _polled_transmit_steps(depth: int, phases: int, rng: RandomSource) -> list[int]:
@@ -91,20 +89,51 @@ def _polled_transmit_steps(depth: int, phases: int, rng: RandomSource) -> list[i
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=80, deadline=None)
-def test_next_transmission_matches_per_slot_polling(depth, phases, seed):
+def test_plan_matches_per_slot_polling(depth, phases, seed):
     polled_rng = RandomSource(seed)
     expected = _polled_transmit_steps(depth, phases, polled_rng)
     rng = RandomSource(seed)
     sched = DecaySchedule(depth, phases, rng)
-    steps = []
-    step = sched.next_transmission()
-    while step is not None:
-        steps.append(step)
-        step = sched.next_transmission()
-    assert steps == expected
+    assert list(sched.plan) == expected
     assert rng.raw.getstate() == polled_rng.raw.getstate()
-    assert sched.next_transmission() is None
-    assert rng.raw.getstate() == polled_rng.raw.getstate()
+
+
+# ----------------------------------------------------------------------
+# A booked plan dies with its sender
+# ----------------------------------------------------------------------
+#: Fault scenarios that kill senders mid-schedule (crash-recover replays
+#: the payload as a new broadcast while the old plan is still booked) and
+#: one that only flaps links.
+_SENDER_FAULTS = {
+    "crash_random": {"fraction": 0.34, "latest": 0.5, "recover_after": 5.0},
+    "churn_poisson": {"join_fraction": 0.2, "leave_fraction": 0.34},
+    "flap_random": {"fraction": 1.0, "mean_up": 3.0, "mean_down": 3.0},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SENDER_FAULTS))
+@pytest.mark.parametrize("substrate", ["radio", "sinr"])
+def test_no_rcv_after_the_sender_aborts(substrate, fault):
+    """No booked transmission fires after its broadcast was aborted: every
+    ``rcv`` of an aborted instance comes from a slot that ended by the
+    abort."""
+    aborted = 0
+    for seed in range(4):
+        spec = replace(
+            smoke_spec(substrate, seed),
+            fault=FaultSpec(fault, _SENDER_FAULTS[fault]),
+        )
+        layer = run(spec, RunOptions(keep_raw=True)).raw.layer
+        for inst in layer.instances:
+            if inst.abort_time is None:
+                continue
+            aborted += 1
+            assert all(t <= inst.abort_time for t in inst.rcv_times.values()), (
+                seed,
+                inst.iid,
+            )
+    if fault != "flap_random":
+        assert aborted > 0
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +217,8 @@ def test_push_pass_matches_per_listener_loop(graph, data, faulted, p_live, seed)
             dual, transmissions, expected_rng.raw.random, p_live, engine
         )
         assert radio.run_slot(transmissions) == expected
-        assert radio.stats[-1].collisions == expected_collisions
-        assert radio.stats[-1].receptions == len(expected)
+        assert radio.last_stats.collisions == expected_collisions
+        assert radio.last_stats.receptions == len(expected)
         assert rng.raw.getstate() == expected_rng.raw.getstate()
 
 

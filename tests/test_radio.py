@@ -32,7 +32,7 @@ def test_two_transmitters_collide_at_common_neighbor():
     radio = SlottedRadioNetwork(dual, RandomSource(1))
     receptions = radio.run_slot({0: "a", 2: "b"})
     assert 1 not in receptions  # collision
-    assert radio.stats[-1].collisions == 1
+    assert radio.last_stats.collisions == 1
 
 
 def test_transmitters_do_not_receive():
@@ -72,48 +72,42 @@ def test_unknown_transmitter_rejected():
 def test_slot_counter_and_stats():
     dual = line_network(3)
     radio = SlottedRadioNetwork(dual, RandomSource(1))
+    assert radio.last_stats is None
     radio.run_slot({})
     radio.run_slot({0: "a"})
     assert radio.slot == 2
-    assert radio.stats[1].transmitters == 1
+    assert radio.last_stats.slot == 1
+    assert radio.last_stats.transmitters == 1
 
 
 # ----------------------------------------------------------------------
 # Decay schedules
 # ----------------------------------------------------------------------
-def _transmit_steps(sched: DecaySchedule) -> list[int]:
-    """Every step a schedule transmits in, drained to exhaustion."""
-    steps = []
-    step = sched.next_transmission()
-    while step is not None:
-        steps.append(step)
-        step = sched.next_transmission()
-    return steps
-
-
 def test_decay_schedule_length_is_phases_times_depth_plus_one():
     sched = DecaySchedule(depth=3, phases=2, rng=RandomSource(1))
-    steps = _transmit_steps(sched)
-    assert sched.complete
-    assert sched.steps_taken == 2 * 4
-    assert sched.total_steps == 8
-    assert steps == sorted(set(steps))
-    assert all(0 <= step < 8 for step in steps)
+    assert sched.total_steps == 2 * 4
+    assert list(sched.plan) == sorted(set(sched.plan))
+    assert all(0 <= step < 8 for step in sched.plan)
 
 
 def test_decay_first_slot_of_each_phase_always_transmits():
     # Slot j transmits with probability 2^-j, so j=0 is certain.
     sched = DecaySchedule(depth=2, phases=3, rng=RandomSource(1))
-    steps = _transmit_steps(sched)
     for phase in range(3):
-        assert phase * 3 in steps
+        assert phase * 3 in sched.plan
 
 
 def test_decay_complete_schedule_never_transmits():
-    sched = DecaySchedule(depth=1, phases=1, rng=RandomSource(1))
-    _transmit_steps(sched)
-    assert sched.complete
-    assert sched.next_transmission() is None
+    # The plan ends inside the schedule, and building it draws exactly
+    # one coin per step, so nothing past the last step is ever drawn.
+    rng = RandomSource(1)
+    sched = DecaySchedule(depth=1, phases=1, rng=rng)
+    assert sched.total_steps == 2
+    assert sched.plan[-1] < sched.total_steps
+    polled = RandomSource(1).raw
+    for _ in range(sched.total_steps):
+        polled.random()
+    assert rng.raw.getstate() == polled.getstate()
 
 
 def test_decay_parameter_validation():

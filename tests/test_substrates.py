@@ -11,19 +11,20 @@ spec-expressible with capability mismatches rejected clearly.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import pytest
 
 from repro.errors import ExperimentError, MACError
 from repro.experiments import (
+    MACS,
     SUBSTRATES,
     AlgorithmSpec,
     Execution,
     ExperimentResult,
     ExperimentSpec,
     FaultSpec,
-    ModelSpec,
     RunOptions,
     SubstrateBase,
     Sweep,
@@ -138,7 +139,6 @@ def _sweepable_base() -> ExperimentSpec:
         ),
         algorithm=AlgorithmSpec("bmmb"),
         workload=WorkloadSpec("one_each", {"k": 2}),
-        model=ModelSpec(params={"max_slots": 200_000}),
         seed=5,
     )
 
@@ -323,6 +323,31 @@ def test_arrival_workloads_rejected_on_time_zero_substrates(name: str):
     assert name in message
     assert "'staggered'" in message
     assert "arrival-capable substrates" in message
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_unknown_model_param_is_rejected_naming_the_accepted_ones(name):
+    spec = smoke_spec(name)
+    params = {**spec.model.params, "bogus": 1}
+    spec = dataclasses.replace(
+        spec, model=dataclasses.replace(spec.model, params=params)
+    )
+    with pytest.raises(ExperimentError, match="'bogus'") as excinfo:
+        run(spec)
+    message = str(excinfo.value)
+    assert name in message
+    accepted = get_substrate(name).model_params
+    assert all(key in message for key in accepted)
+
+
+@pytest.mark.parametrize("name", ["radio", "sinr"])
+def test_radio_model_params_are_the_adapter_keywords(name):
+    """Besides ``max_slots``, a radio substrate's declared params are
+    exactly the keywords of the MAC entry it builds."""
+    substrate = get_substrate(name)
+    keywords = set(inspect.signature(MACS.get(substrate.mac_key)).parameters)
+    keywords -= {"dual", "rng", "fault_engine", "network"}
+    assert substrate.model_params == keywords | {"max_slots"}
 
 
 # ----------------------------------------------------------------------

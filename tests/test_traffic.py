@@ -277,6 +277,20 @@ def test_faulted_open_arrivals_measure_the_survivor_verdict(substrate):
     assert result.series["window_latency_mean"]
 
 
+def test_faulted_max_latency_reads_the_survivor_verdict():
+    """``max_latency`` is judged among survivors like the steady gauges:
+    a run solved among survivors no longer reports an infinite worst
+    latency for the message lost to a dead origin."""
+    spec = dataclasses.replace(
+        _open_spec(), fault=FaultSpec("crash_random", {"fraction": 0.2})
+    )
+    result = run(spec, RunOptions.summary())
+    metrics = result.metrics
+    assert result.solved
+    assert math.isfinite(metrics["max_latency"])
+    assert metrics["latency_p95"] <= metrics["max_latency"]
+
+
 def test_time_zero_workloads_report_no_steady_gauges():
     """The steady gauges are strictly opt-in: classic one-shot workloads
     keep their exact metric set (golden fixtures depend on this)."""
