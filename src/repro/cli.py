@@ -705,17 +705,6 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
 DEFAULT_TRACE_CHECKS = ("ack_latency", "abort_accounting", "delivery_order")
 
 
-def _observation_dict(obs) -> dict[str, Any]:
-    return {
-        "time": obs.time,
-        "kind": obs.kind,
-        "node": obs.node,
-        "key": obs.key,
-        "ref": obs.ref,
-        "value": obs.value,
-    }
-
-
 def _journal_spec(journal, path: str) -> ExperimentSpec:
     """The spec a campaign/sweep journal embeds in its header meta."""
     spec_dict = journal.meta.get("spec")
@@ -741,7 +730,7 @@ def cmd_trace_dump(args: argparse.Namespace) -> int:
             continue
         if args.limit is not None and emitted >= args.limit:
             break
-        print(json.dumps(_observation_dict(obs), sort_keys=True))
+        print(json.dumps(obs._asdict(), sort_keys=True))
         emitted += 1
     return 0
 
@@ -831,8 +820,8 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
             continue
         differences += 1
         if shown < args.limit:
-            lhs_text = "-" if lhs is None else json.dumps(_observation_dict(lhs))
-            rhs_text = "-" if rhs is None else json.dumps(_observation_dict(rhs))
+            lhs_text = "-" if lhs is None else json.dumps(lhs._asdict())
+            rhs_text = "-" if rhs is None else json.dumps(rhs._asdict())
             print(f"@{index}  a: {lhs_text}")
             print(f"@{index}  b: {rhs_text}")
             shown += 1
@@ -860,7 +849,7 @@ def cmd_trace_grep(args: argparse.Namespace) -> int:
     for path in args.journals:
         journal = read_journal(path)
         for index, obs in enumerate(journal.observations):
-            line = json.dumps(_observation_dict(obs), sort_keys=True)
+            line = json.dumps(obs._asdict(), sort_keys=True)
             if pattern.search(line):
                 print(f"{path}:@{index}: {line}")
                 matched += 1

@@ -83,7 +83,7 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.core.fmmb import run_fmmb
 from repro.core.problem import ArrivalSchedule
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, MACError
 from repro.experiments.registries import (
     ALGORITHMS,
     FAULTS,
@@ -966,7 +966,19 @@ class RadioSubstrate(SubstrateBase):
         engine = ctx.fault_engine()
         if engine is not None:
             params["fault_engine"] = engine
-        layer = MACS.get(self.mac_key)(dual, ctx.stream("radio"), **params)
+        try:
+            layer = MACS.get(self.mac_key)(dual, ctx.stream("radio"), **params)
+        except MACError as exc:
+            # The adapter's rejection of a keyword's value starts with the
+            # keyword, and every keyword is a model.params key: that is a
+            # spec error.  Others (an SINR run on a topology without
+            # positions) pass through as they are.
+            key = str(exc).split(" ", 1)[0]
+            if key not in params:
+                raise
+            raise ExperimentError(
+                f"model.params.{key} rejected by substrate {self.name!r}: {exc}"
+            ) from exc
         automata = {node: factory(node) for node in dual.nodes}
         for node, automaton in automata.items():
             layer.register(node, automaton)

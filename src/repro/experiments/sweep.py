@@ -197,8 +197,8 @@ def _run_with_options(
     """One sweep point under ``options``, sweep-safe.
 
     The substrate's ``raw`` handle is always dropped (engine objects are
-    neither picklable nor comparable across processes); the typed
-    :class:`Observation` tuple — plain frozen records — travels back to
+    neither picklable nor comparable across processes); the tuple of
+    :class:`Observation` records — plain named tuples — travels back to
     the parent when ``options.keep_raw`` asks for it, which is what
     journaling campaign sweeps persist.
     """

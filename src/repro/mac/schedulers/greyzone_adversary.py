@@ -33,7 +33,7 @@ axioms in the test suite.
 from __future__ import annotations
 
 from repro.errors import SchedulerError
-from repro.ids import MessageId, NodeId
+from repro.ids import MessageId, NodeId, Time
 from repro.mac.messages import MessageInstance
 from repro.mac.schedulers.base import Scheduler
 from repro.topology.adversarial import (
@@ -83,13 +83,13 @@ class GreyZoneAdversary(Scheduler):
         next_node, diagonal_target = plan
         t = instance.bcast_time
         delta = self.inject_fraction * ctx.fprog
-        for receiver in sorted(ctx.dual.reliable_neighbors(instance.sender)):
-            when = t + ctx.fack if receiver == next_node else t + 0.0
-            ctx.deliver_at(instance, receiver, when)
-            self._note_holder(mid, receiver)
+        planned = [
+            (receiver, t + ctx.fack if receiver == next_node else t + 0.0)
+            for receiver in ctx.dual.reliable_neighbors_sorted(instance.sender)
+        ]
         if diagonal_target is not None:
-            ctx.deliver_at(instance, diagonal_target, t + delta)
-            self._note_holder(mid, diagonal_target)
+            planned.append((diagonal_target, t + delta))
+        self._book(instance, mid, planned)
         ctx.ack_at(instance, t + ctx.fack)
 
     # ------------------------------------------------------------------
@@ -126,14 +126,31 @@ class GreyZoneAdversary(Scheduler):
         ctx = self.ctx
         assert ctx is not None
         mid = getattr(instance.payload, "mid", None)
-        for receiver in sorted(ctx.dual.reliable_neighbors(instance.sender)):
-            ctx.deliver_at(instance, receiver, ctx.now)
-            self._note_holder(mid, receiver)
-        ctx.ack_at(instance, ctx.now)
+        now = ctx.now
+        self._book(
+            instance,
+            mid,
+            [
+                (receiver, now)
+                for receiver in ctx.dual.reliable_neighbors_sorted(instance.sender)
+            ],
+        )
+        ctx.ack_at(instance, now)
 
-    def _note_holder(self, mid: MessageId | None, receiver: NodeId) -> None:
-        if mid in self._holders:
-            self._holders[mid].add(receiver)
+    def _book(
+        self,
+        instance: MessageInstance,
+        mid: MessageId | None,
+        planned: list[tuple[NodeId, Time]],
+    ) -> None:
+        """Book one broadcast's fan-out in a batch and note its receivers
+        as holders of ``mid``."""
+        ctx = self.ctx
+        assert ctx is not None
+        ctx.deliver_many(instance, planned)
+        holders = self._holders.get(mid)
+        if holders is not None:
+            holders.update(receiver for receiver, _ in planned)
 
 
 class CombinedAdversary(GreyZoneAdversary):
@@ -172,9 +189,16 @@ class CombinedAdversary(GreyZoneAdversary):
         if instance.sender in self._blob:
             mid = getattr(instance.payload, "mid", None)
             rcv_time = instance.bcast_time + self.rcv_fraction * ctx.fprog
-            for receiver in sorted(ctx.dual.reliable_neighbors(instance.sender)):
-                ctx.deliver_at(instance, receiver, rcv_time)
-                self._note_holder(mid, receiver)
+            self._book(
+                instance,
+                mid,
+                [
+                    (receiver, rcv_time)
+                    for receiver in ctx.dual.reliable_neighbors_sorted(
+                        instance.sender
+                    )
+                ],
+            )
             ctx.ack_at(instance, instance.bcast_time + ctx.fack)
             return
         super().on_bcast(instance)

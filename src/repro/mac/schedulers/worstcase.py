@@ -50,13 +50,22 @@ class WorstCaseAckScheduler(Scheduler):
         ctx = self.ctx
         assert ctx is not None, "scheduler used before bind()"
         sender = instance.sender
+        dual = ctx.dual
         rcv_time = instance.bcast_time + self.rcv_fraction * ctx.fprog
-        for receiver in sorted(ctx.dual.reliable_neighbors(sender)):
-            ctx.deliver_at(instance, receiver, rcv_time)
+        # One batch for the whole fan-out: reliable receivers, then the
+        # coin-flipped unreliable ones, in sorted order.  deliver_many
+        # validates and numbers them as one deliver_at per receiver would.
+        planned = [
+            (receiver, rcv_time)
+            for receiver in dual.reliable_neighbors_sorted(sender)
+        ]
         if self.p_unreliable > 0.0 and self._rng is not None:
-            for receiver in sorted(ctx.dual.unreliable_only_neighbors(sender)):
-                if self._rng.bernoulli(self.p_unreliable):
-                    ctx.deliver_at(instance, receiver, rcv_time)
+            bernoulli = self._rng.bernoulli
+            p_unreliable = self.p_unreliable
+            for receiver in dual.unreliable_only_neighbors_sorted(sender):
+                if bernoulli(p_unreliable):
+                    planned.append((receiver, rcv_time))
+        ctx.deliver_many(instance, planned)
         ctx.ack_at(instance, instance.bcast_time + ctx.fack)
 
 

@@ -129,9 +129,10 @@ class RadioMACLayer:
         p_unreliable_live: Per-slot fade-in probability of unreliable edges.
         adaptive: Keep transmitting until all reliable neighbors decoded
             (True, default) or ack after the fixed schedule (False).
-        phases: Decay phases per schedule block; defaults to
-            ``Θ(log n)`` via :func:`recommended_phases`.
-        depth: Decay depth; defaults to ``ceil(log2(max G' degree + 1))``.
+        phases: Decay phases per schedule block (>= 1); ``None`` (the
+            default) means ``Θ(log n)`` via :func:`recommended_phases`.
+        depth: Decay depth (>= 0); ``None`` (the default) means
+            ``ceil(log2(max G' degree + 1))``.
         fault_engine: Optional :class:`~repro.faults.engine.FaultEngine`;
             the adapter polls it once per slot.  Crashed nodes stop
             transmitting and listening (their in-flight broadcast is
@@ -167,7 +168,11 @@ class RadioMACLayer:
         self.dual = dual
         self.slot_duration = slot_duration
         self.adaptive = adaptive
-        self.phases = phases or recommended_phases(dual.n)
+        if phases is not None and phases < 1:
+            raise MACError(f"phases must be >= 1, got {phases}")
+        if depth is not None and depth < 0:
+            raise MACError(f"depth must be >= 0, got {depth}")
+        self.phases = phases if phases is not None else recommended_phases(dual.n)
         self.depth = (
             depth
             if depth is not None

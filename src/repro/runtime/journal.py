@@ -19,7 +19,8 @@ Format (version :data:`JOURNAL_FORMAT`):
   serialized with sorted keys — ``meta`` is caller-supplied context
   (the experiment spec dict and its store key, for campaign journals);
 * every following line is one observation as a compact 6-element array
-  ``[time, kind, node, key, ref, value]`` with non-finite floats encoded
+  ``[time, kind, node, key, ref, value]`` — the record's named-tuple
+  fields in order — with non-finite floats encoded
   as the strings ``"inf"`` / ``"-inf"`` / ``"nan"`` (strict JSON only);
 * observations are written in canonical stream order
   (:meth:`Observation.sort_key`), and ``profile`` records are excluded
@@ -35,11 +36,13 @@ other malformed journal.
 
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import json
 import math
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -133,8 +136,7 @@ def _lines(kept: list[Observation], meta: dict | None) -> Iterator[str]:
     float_repr = float.__repr__
     int_repr = int.__repr__
     quote = encode_basestring_ascii
-    for obs in kept:
-        time, node, key, ref, value = obs.time, obs.node, obs.key, obs.ref, obs.value
+    for time, kind, node, key, ref, value in kept:
         if node is None:
             node_json = "null"
         elif node.__class__ is int:
@@ -145,7 +147,7 @@ def _lines(kept: list[Observation], meta: dict | None) -> Iterator[str]:
             yield _encode_row(
                 [
                     _encode_float(time),
-                    obs.kind,
+                    kind,
                     node,
                     key,
                     ref,
@@ -158,7 +160,7 @@ def _lines(kept: list[Observation], meta: dict | None) -> Iterator[str]:
             float_repr(float(value)) if finite(value) else _non_finite_json(value)
         )
         yield (
-            f"[{time_json},{kinds[obs.kind]},{node_json},{quote(key)},"
+            f"[{time_json},{kinds[kind]},{node_json},{quote(key)},"
             f"{int_repr(ref)},{value_json}]"
         )
 
@@ -262,6 +264,26 @@ def _parse_rows(lines: list[str], where: str) -> list:
     return rows
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for one journal decode.
+
+    A decode allocates a row list and a record per line and makes no
+    reference cycles, but every 700 container allocations start a
+    collection pass, and the older generations' passes walk every live
+    object.  Paused, the records cost their allocation only.  A caller
+    that already disabled the collector keeps it disabled.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def loads_journal(text: str, where: str = "<journal>") -> Journal:
     """Parse journal text (header line + observation lines).
 
@@ -286,9 +308,28 @@ def loads_journal(text: str, where: str = "<journal>") -> Journal:
             f"{where}: journal format {fmt} unsupported "
             f"(this build reads format {JOURNAL_FORMAT})"
         )
+    with _gc_paused():
+        observations = _decode_rows(_parse_rows(lines, where), where)
+    count = _header_int(header, "count", where)
+    if count != len(observations):
+        raise ExperimentError(
+            f"{where}: header declares {count} observations, "
+            f"found {len(observations)}"
+        )
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ExperimentError(f"{where}: journal meta must be an object")
+    return Journal(
+        format=fmt, meta=meta, observations=tuple(observations)
+    )
+
+
+def _decode_rows(rows: list, where: str) -> list[Observation]:
+    """The parsed observation rows as records; a bad row raises naming
+    its line (rows start on line 2, after the header)."""
     observations: list[Observation] = []
     append = observations.append
-    for lineno, row in enumerate(_parse_rows(lines, where), start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not isinstance(row, list) or len(row) != 6:
             raise ExperimentError(
                 f"{where}:{lineno}: journal line is not a 6-element "
@@ -311,18 +352,7 @@ def loads_journal(text: str, where: str = "<journal>") -> Journal:
             raise ExperimentError(
                 f"{where}:{lineno}: bad observation row: {exc}"
             ) from exc
-    count = _header_int(header, "count", where)
-    if count != len(observations):
-        raise ExperimentError(
-            f"{where}: header declares {count} observations, "
-            f"found {len(observations)}"
-        )
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ExperimentError(f"{where}: journal meta must be an object")
-    return Journal(
-        format=fmt, meta=meta, observations=tuple(observations)
-    )
+    return observations
 
 
 def read_journal(path: str | Path) -> Journal:

@@ -45,7 +45,7 @@ and the ``obs_*`` gauges merged into :meth:`Probe.metrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from repro.errors import ExperimentError
 from repro.ids import NodeId, Time
@@ -81,9 +81,33 @@ _KIND_ORDER = {kind: index for index, kind in enumerate(OBSERVATION_KINDS)}
 MAC_KINDS: tuple[str, ...] = ("bcast", "rcv", "ack", "abort")
 
 
-@dataclass(frozen=True)
-class Observation:
+def _unknown_kind(kind: object) -> ExperimentError:
+    return ExperimentError(
+        f"unknown observation kind {kind!r}; one of "
+        f"{', '.join(OBSERVATION_KINDS)}"
+    )
+
+
+class _ObservationFields(NamedTuple):
+    time: Time
+    kind: str
+    node: NodeId | None = None
+    key: str = ""
+    ref: int = -1
+    value: float = 1.0
+
+
+_new_tuple = tuple.__new__
+
+
+class Observation(_ObservationFields):
     """One typed event of an execution, substrate-independent.
+
+    An immutable named tuple of six fields, so building one costs a tuple
+    allocation plus the kind check: journals decode tens of thousands of
+    records per read.  Every way of making a record — the constructor,
+    :meth:`_make`, :meth:`_replace` and unpickling — rejects an unknown
+    kind with :class:`~repro.errors.ExperimentError`.
 
     Attributes:
         time: Event time in the substrate's time unit (simulated time, or
@@ -99,23 +123,31 @@ class Observation:
             for ``round``/``slot`` markers.
     """
 
-    time: Time
-    kind: str
-    node: NodeId | None = None
-    key: str = ""
-    ref: int = -1
-    value: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ExperimentError(
-                f"unknown observation kind {self.kind!r}; one of "
-                f"{', '.join(OBSERVATION_KINDS)}"
-            )
+    def __new__(
+        cls,
+        time: Time,
+        kind: str,
+        node: NodeId | None = None,
+        key: str = "",
+        ref: int = -1,
+        value: float = 1.0,
+    ) -> "Observation":
+        if kind not in _KIND_ORDER:
+            raise _unknown_kind(kind)
+        return _new_tuple(cls, (time, kind, node, key, ref, value))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Observation":
+        """A record from six field values (kind-checked, unlike the
+        plain named tuple's ``_make``); :meth:`_replace` builds through
+        it too."""
+        return cls(*iterable)
 
     def sort_key(self) -> tuple:
-        node = self.node if self.node is not None else -1
-        return (self.time, _KIND_ORDER[self.kind], self.ref, node, self.key)
+        time, kind, node, key, ref, _ = self
+        return (time, _KIND_ORDER[kind], ref, -1 if node is None else node, key)
 
 
 def _payload_tag(payload: object) -> str:
@@ -284,17 +316,10 @@ class Probe:
         """Record one observation (kind-checked); windowed probes fold it
         into the window aggregate instead of retaining it."""
         if self.window is None:
-            self._events.append(
-                Observation(
-                    time=time, kind=kind, node=node, key=key, ref=ref, value=value
-                )
-            )
+            self._events.append(Observation(time, kind, node, key, ref, value))
             return
         if kind not in _KIND_ORDER:
-            raise ExperimentError(
-                f"unknown observation kind {kind!r}; one of "
-                f"{', '.join(OBSERVATION_KINDS)}"
-            )
+            raise _unknown_kind(kind)
         index = int(time // self.window)
         bucket = self._buckets.get(index)
         if bucket is None:

@@ -2,9 +2,11 @@
 
 Usage::
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [scenario ...]
 
-Writes one canonical-JSON fixture per scenario into ``tests/golden/``.
+Writes one canonical-JSON fixture per scenario into ``tests/golden/``;
+naming scenarios records only those (and skips the sweep fixture), so a
+new scenario is added without rewriting the existing fixtures.
 The fixtures pin the *observable execution* of fixed-seed experiments —
 delivery tables, per-instance rcv/ack times, round counts — so that
 performance work on the kernel, topology caches, and fault engine can be
@@ -259,6 +261,34 @@ SCENARIOS: dict[str, ExperimentSpec] = {
         substrate="sinr",
         seed=41,
     ),
+    "worstcase_crash": ExperimentSpec(
+        name="golden-worstcase-crash",
+        topology=_rgg(32, 3.0),
+        algorithm=AlgorithmSpec("bmmb"),
+        scheduler=SchedulerSpec("worstcase", {"p_unreliable": 0.5}),
+        workload=WorkloadSpec("one_each", {"k": 6}),
+        fault=FaultSpec("crash_random", {"fraction": 0.2}),
+        model=ModelSpec(fack=20.0, fprog=1.0),
+        seed=37,
+    ),
+    "choke_star": ExperimentSpec(
+        name="golden-choke",
+        topology=TopologySpec("choke_star", {"k": 6}),
+        algorithm=AlgorithmSpec("bmmb"),
+        scheduler=SchedulerSpec("choke"),
+        workload=WorkloadSpec("one_each", {"k": 6}),
+        model=ModelSpec(fack=20.0, fprog=1.0),
+        seed=47,
+    ),
+    "greyzone_adversary": ExperimentSpec(
+        name="golden-figure2",
+        topology=TopologySpec("parallel_lines", {"depth": 10}),
+        algorithm=AlgorithmSpec("bmmb"),
+        scheduler=SchedulerSpec("greyzone_adversary", {"depth": 10}),
+        workload=WorkloadSpec("parallel_lines_sources"),
+        model=ModelSpec(fack=20.0, fprog=1.0),
+        seed=0,
+    ),
     "leader_protocol": ExperimentSpec(
         name="golden-leader",
         topology=_rgg(24, 2.5),
@@ -302,13 +332,21 @@ def sweep_fingerprint() -> dict:
     }
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(SCENARIOS))
+    if unknown:
+        print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     for name, spec in SCENARIOS.items():
+        if names and name not in names:
+            continue
         fp = fingerprint(run(spec))
         path = os.path.join(GOLDEN_DIR, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(fp) + "\n")
         print(f"recorded {name} -> {os.path.relpath(path)}")
+    if names:
+        return 0
     path = os.path.join(GOLDEN_DIR, "sweep_grid.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(sweep_fingerprint()) + "\n")
@@ -317,4 +355,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -71,6 +71,90 @@ def _stream():
 
 
 # ----------------------------------------------------------------------
+# The observation record
+# ----------------------------------------------------------------------
+_FIELDS = (0.5, "rcv", 1, "m0", 0, 1.0)
+
+
+def test_record_builds_positionally_and_by_keyword():
+    by_position = Observation(*_FIELDS)
+    by_keyword = Observation(
+        time=0.5, kind="rcv", node=1, key="m0", ref=0, value=1.0
+    )
+    assert by_position == by_keyword
+    assert tuple(by_position) == _FIELDS
+    assert Observation._fields == ("time", "kind", "node", "key", "ref", "value")
+    assert Observation(2.0, "round") == (2.0, "round", None, "", -1, 1.0)
+    assert Observation._make(_FIELDS) == by_position
+    assert by_position._replace(node=2).node == 2
+    assert by_position._asdict() == dict(zip(Observation._fields, _FIELDS))
+
+
+def test_record_repr_is_pinned():
+    assert repr(Observation(*_FIELDS)) == (
+        "Observation(time=0.5, kind='rcv', node=1, key='m0', ref=0, value=1.0)"
+    )
+    assert repr(Observation(2.0, "round", value=3.0)) == (
+        "Observation(time=2.0, kind='round', node=None, key='', ref=-1, "
+        "value=3.0)"
+    )
+
+
+def test_every_way_of_building_a_record_rejects_an_unknown_kind():
+    good = Observation(*_FIELDS)
+    builders = (
+        lambda: Observation(0.5, "nope"),
+        lambda: Observation(time=0.5, kind="nope"),
+        lambda: good._replace(kind="nope"),
+        lambda: Observation._make((0.5, "nope", 1, "m0", 0, 1.0)),
+    )
+    messages = set()
+    for build in builders:
+        with pytest.raises(ExperimentError, match="unknown observation") as excinfo:
+            build()
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1
+    (message,) = messages
+    with pytest.raises(ExperimentError) as excinfo:
+        loads_journal(_one_row_journal('[0.5,"nope",1,"m0",0,1.0]'), where="j")
+    assert str(excinfo.value) == f"j:2: bad observation row: {message}"
+
+
+def test_record_is_immutable():
+    obs = Observation(*_FIELDS)
+    for field in Observation._fields:
+        with pytest.raises(AttributeError):
+            setattr(obs, field, 0)
+    with pytest.raises(AttributeError):
+        obs.extra = 1
+
+
+def test_record_eq_and_hash_are_its_fields():
+    """Equal fields make equal records with the hash of the field tuple,
+    as the earlier frozen-dataclass record had."""
+    obs = Observation(*_FIELDS)
+    twin = Observation(*_FIELDS)
+    assert obs == twin and not obs != twin
+    assert hash(obs) == hash(twin) == hash(_FIELDS)
+    assert obs != obs._replace(value=2.0)
+    assert hash(Observation(1.0, "round")) == hash(
+        (1.0, "round", None, "", -1, 1.0)
+    )
+    assert len({obs, twin, obs._replace(ref=1)}) == 2
+
+
+def test_record_pickles_and_unpickling_checks_the_kind():
+    import pickle
+
+    for obs in _stream():
+        copy = pickle.loads(pickle.dumps(obs))
+        assert copy == obs and type(copy) is Observation
+    rogue = pickle.dumps(Observation(*_FIELDS)).replace(b"rcv", b"xyz")
+    with pytest.raises(ExperimentError, match="unknown observation kind 'xyz'"):
+        pickle.loads(rogue)
+
+
+# ----------------------------------------------------------------------
 # Format
 # ----------------------------------------------------------------------
 def test_round_trip_preserves_stream_and_meta(tmp_path):
@@ -209,6 +293,24 @@ def test_bad_row_is_located_after_good_rows():
         loads_journal(text + "\n" + good + "\n[0.0,", where="j")
     with pytest.raises(ExperimentError, match="^j:3: .*unknown observation kind"):
         loads_journal(text + '\n[0.0,"nope",0,"m",0,1.0]\n' + good, where="j")
+
+
+def test_decoding_leaves_the_garbage_collector_as_it_found_it():
+    import gc
+
+    good = dump_journal(_stream())
+    bad = _one_row_journal('[0.0,"nope",0,"m",0,1.0]')
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert loads_journal(unframe_journal(good, "j")).observations == _stream()
+            assert gc.isenabled() is enabled
+            with pytest.raises(ExperimentError):
+                loads_journal(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_dump_journal_bytes_are_pinned():

@@ -121,6 +121,20 @@ def test_decay_parameter_validation():
         recommended_phases(0)
 
 
+def test_radio_layer_rejects_bad_decay_parameters_and_defaults_only_on_none():
+    dual = star_network(6)
+    for kwargs, message in (
+        ({"phases": 0}, "phases must be >= 1, got 0"),
+        ({"phases": -1}, "phases must be >= 1, got -1"),
+        ({"depth": -1}, "depth must be >= 0, got -1"),
+    ):
+        with pytest.raises(MACError, match=message):
+            RadioMACLayer(dual, RandomSource(1, "r"), **kwargs)
+    default = RadioMACLayer(dual, RandomSource(1, "r"))
+    assert default.phases == recommended_phases(dual.n)
+    assert RadioMACLayer(dual, RandomSource(1, "r"), phases=1, depth=0).depth == 0
+
+
 def test_decay_depth_and_phase_helpers_scale_logarithmically():
     assert decay_depth_for(2) == 1
     assert decay_depth_for(16) == 4

@@ -3,17 +3,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
-from repro.ids import MessageAssignment
+from repro.faults import FaultEngine, FaultEvent, FaultKind, FaultPlan
+from repro.ids import Message, MessageAssignment
 from repro.mac.axioms import check_axioms
 from repro.mac.schedulers import (
+    CombinedAdversary,
     ContentionScheduler,
+    GreyZoneAdversary,
     UniformDelayScheduler,
     WorstCaseAckScheduler,
 )
 from repro.sim.rng import RandomSource
 from repro.topology import line_network, star_network, with_arbitrary_unreliable
+from repro.topology.adversarial import (
+    combined_lower_bound_network,
+    parallel_lines_network,
+)
 from repro.topology.generators import line_graph
 
 from tests.conftest import FACK, FPROG, run_bmmb, single_source
@@ -176,3 +185,164 @@ def test_worstcase_requires_rng_for_unreliable():
 def test_worstcase_rejects_bad_rcv_fraction():
     with pytest.raises(SchedulerError):
         WorstCaseAckScheduler(rcv_fraction=1.0)
+
+
+# ----------------------------------------------------------------------
+# Batched fan-out: the adversaries book a broadcast's receivers in one
+# deliver_many call.  Each is compared with the per-receiver deliver_at
+# booking it replaced, which must give the same execution.
+# ----------------------------------------------------------------------
+class _PerReceiverWorstCase(WorstCaseAckScheduler):
+    def on_bcast(self, instance):
+        ctx = self.ctx
+        sender = instance.sender
+        rcv_time = instance.bcast_time + self.rcv_fraction * ctx.fprog
+        for receiver in sorted(ctx.dual.reliable_neighbors(sender)):
+            ctx.deliver_at(instance, receiver, rcv_time)
+        if self.p_unreliable > 0.0 and self._rng is not None:
+            for receiver in sorted(ctx.dual.unreliable_only_neighbors(sender)):
+                if self._rng.bernoulli(self.p_unreliable):
+                    ctx.deliver_at(instance, receiver, rcv_time)
+        ctx.ack_at(instance, instance.bcast_time + ctx.fack)
+
+
+class _PerReceiverGreyZone:
+    """The per-receiver ``on_bcast``/``_instant`` of the Figure 2 family."""
+
+    def on_bcast(self, instance):
+        ctx = self.ctx
+        mid = getattr(instance.payload, "mid", None)
+        if instance.sender in getattr(self, "_blob", ()):
+            rcv_time = instance.bcast_time + self.rcv_fraction * ctx.fprog
+            for receiver in sorted(ctx.dual.reliable_neighbors(instance.sender)):
+                ctx.deliver_at(instance, receiver, rcv_time)
+                self._hold(mid, receiver)
+            ctx.ack_at(instance, instance.bcast_time + ctx.fack)
+            return
+        plan = self._frontier_plan(instance.sender, mid)
+        if plan is None:
+            for receiver in sorted(ctx.dual.reliable_neighbors(instance.sender)):
+                ctx.deliver_at(instance, receiver, ctx.now)
+                self._hold(mid, receiver)
+            ctx.ack_at(instance, ctx.now)
+            return
+        next_node, diagonal_target = plan
+        t = instance.bcast_time
+        for receiver in sorted(ctx.dual.reliable_neighbors(instance.sender)):
+            when = t + ctx.fack if receiver == next_node else t + 0.0
+            ctx.deliver_at(instance, receiver, when)
+            self._hold(mid, receiver)
+        if diagonal_target is not None:
+            ctx.deliver_at(
+                instance, diagonal_target, t + self.inject_fraction * ctx.fprog
+            )
+            self._hold(mid, diagonal_target)
+        ctx.ack_at(instance, t + ctx.fack)
+
+    def _hold(self, mid, receiver):
+        if mid in self._holders:
+            self._holders[mid].add(receiver)
+
+
+class _PerReceiverGreyZoneAdversary(_PerReceiverGreyZone, GreyZoneAdversary):
+    pass
+
+
+class _PerReceiverCombinedAdversary(_PerReceiverGreyZone, CombinedAdversary):
+    pass
+
+
+def _execution(result):
+    """Everything observable about a standard run, comparable across runs."""
+    instances = [
+        (
+            inst.iid,
+            inst.sender,
+            getattr(inst.payload, "mid", inst.payload),
+            inst.bcast_time,
+            inst.ack_time,
+            inst.abort_time,
+            sorted(inst.rcv_times.items()),
+        )
+        for inst in result.instances
+    ]
+    return instances, dict(result.deliveries), result.sim_events
+
+
+@st.composite
+def _worstcase_runs(draw):
+    n = draw(st.integers(min_value=3, max_value=12))
+    # A line of n nodes leaves (n-1)(n-2)/2 pairs for grey edges.
+    grey = draw(st.integers(min_value=0, max_value=(n - 1) * (n - 2) // 2))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    dual = with_arbitrary_unreliable(line_graph(n), grey, RandomSource(seed, "t"))
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    sources = draw(st.lists(nodes, min_size=1, max_size=4))
+    assignment = MessageAssignment(
+        {
+            node: tuple(
+                Message(f"m{i}", node) for i, s in enumerate(sources) if s == node
+            )
+            for node in set(sources)
+        }
+    )
+    events = []
+    for node in draw(st.lists(nodes, max_size=3, unique=True)):
+        at = draw(st.floats(min_value=0.0, max_value=3 * FACK))
+        events.append(FaultEvent(at, FaultKind.CRASH, node=node))
+        if draw(st.booleans()):
+            back = at + draw(st.floats(min_value=0.1, max_value=2 * FACK))
+            events.append(FaultEvent(back, FaultKind.RECOVER, node=node))
+    grey_edges = [
+        (u, v)
+        for u in dual.nodes
+        for v in dual.unreliable_only_neighbors_sorted(u)
+        if u < v
+    ]
+    if grey_edges and draw(st.booleans()):
+        u, v = draw(st.sampled_from(grey_edges))
+        up = draw(st.floats(min_value=0.0, max_value=2 * FACK))
+        events.append(FaultEvent(up, FaultKind.LINK_UP, edge=(u, v)))
+        events.append(FaultEvent(up + FACK, FaultKind.LINK_DOWN, edge=(u, v)))
+    p_unreliable = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    return dual, assignment, events, p_unreliable, seed
+
+
+@given(_worstcase_runs(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_batched_worstcase_fanout_equals_per_receiver_booking(case, faulted):
+    dual, assignment, events, p_unreliable, seed = case
+    outcomes = []
+    for scheduler_class in (WorstCaseAckScheduler, _PerReceiverWorstCase):
+        rng = RandomSource(seed, "scheduler")
+        engine = (
+            FaultEngine(dual, FaultPlan.of(events)) if faulted and events else None
+        )
+        result = run_bmmb(
+            dual,
+            assignment,
+            scheduler_class(rng, p_unreliable=p_unreliable),
+            fault_engine=engine,
+        )
+        outcomes.append((_execution(result), rng.draws))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("depth", [2, 5, 9])
+def test_batched_greyzone_fanout_equals_per_receiver_booking(depth):
+    net = parallel_lines_network(depth)
+    batched = run_bmmb(net.dual, net.assignment, GreyZoneAdversary(net))
+    reference = run_bmmb(
+        net.dual, net.assignment, _PerReceiverGreyZoneAdversary(net)
+    )
+    assert _execution(batched) == _execution(reference)
+
+
+@pytest.mark.parametrize("depth, k", [(3, 4), (6, 8)])
+def test_batched_combined_fanout_equals_per_receiver_booking(depth, k):
+    net = combined_lower_bound_network(depth, k)
+    batched = run_bmmb(net.dual, net.assignment, CombinedAdversary(net))
+    reference = run_bmmb(
+        net.dual, net.assignment, _PerReceiverCombinedAdversary(net)
+    )
+    assert _execution(batched) == _execution(reference)

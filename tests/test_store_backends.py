@@ -552,7 +552,7 @@ def test_diff_reports_a_changed_journal_row_as_journal_delta(tmp_path):
     key = spec_key(point.spec)
     journal = store_b.get_journal(point.spec)
     first = journal.observations[0]
-    changed = (dataclasses.replace(first, time=first.time + 0.5),)
+    changed = (first._replace(time=first.time + 0.5),)
     store_b.backend.put(
         "journal",
         key,

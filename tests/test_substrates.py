@@ -341,6 +341,27 @@ def test_unknown_model_param_is_rejected_naming_the_accepted_ones(name):
 
 
 @pytest.mark.parametrize("name", ["radio", "sinr"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("phases", 0, "phases must be >= 1"),
+        ("phases", -1, "phases must be >= 1"),
+        ("depth", -1, "depth must be >= 0"),
+    ],
+)
+def test_bad_decay_param_is_a_spec_error_naming_its_key(name, key, value, message):
+    spec = smoke_spec(name)
+    params = {**spec.model.params, key: value}
+    spec = dataclasses.replace(
+        spec, model=dataclasses.replace(spec.model, params=params)
+    )
+    with pytest.raises(ExperimentError, match=f"^model.params.{key} ") as excinfo:
+        run(spec)
+    assert name in str(excinfo.value) and message in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, MACError)
+
+
+@pytest.mark.parametrize("name", ["radio", "sinr"])
 def test_radio_model_params_are_the_adapter_keywords(name):
     """Besides ``max_slots``, a radio substrate's declared params are
     exactly the keywords of the MAC entry it builds."""
