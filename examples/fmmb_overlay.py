@@ -53,7 +53,8 @@ def main(seed: int = 5) -> None:
           f"rounds={result.mis_result.rounds_used} "
           f"({result.mis_result.phases_used} phases)")
     print(f"  members: {sorted(mis)}")
-    print(f"  overlay H: {overlay.number_of_edges()} edges, "
+    h_edges = sum(map(len, overlay.values())) // 2
+    print(f"  overlay H: {h_edges} edges, "
           f"D_H={overlay_diameter(overlay)} (vs D={net.diameter()})\n")
 
     # --- Stage 2: gather --------------------------------------------------

@@ -79,7 +79,6 @@ _SOURCES = {
         "line_network",
         "parallel_lines_network",
         "random_geometric_network",
-        "reliable_only",
         "ring_network",
         "star_network",
         "tree_network",
@@ -193,7 +192,6 @@ __all__ = [
     "star_network",
     "grid_network",
     "tree_network",
-    "reliable_only",
     "with_arbitrary_unreliable",
     "with_r_restricted_unreliable",
     "grey_zone_network",

@@ -464,11 +464,6 @@ class _Supervisor:
     # -- worker lifecycle ---------------------------------------------
 
     def _spawn_workers(self) -> None:
-        # Workers fork from this process (the default start method on
-        # Linux): importing networkx once here, not in every worker, keeps
-        # the import out of each point's wall time.
-        import networkx  # noqa: F401
-
         count = min(self.config.workers, max(1, len(self.jobs)))
         self.workers = [_Worker(self.chaos) for _ in range(count)]
 

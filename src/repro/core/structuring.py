@@ -22,16 +22,13 @@ collision-free dissemination plan whose length is ``O(D)`` backbone hops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Mapping
 
 from repro.core.fmmb.mis import require_valid_mis
 from repro.core.fmmb.overlay import build_overlay
 from repro.errors import AlgorithmError, TopologyError
 from repro.ids import NodeId
-from repro.topology.dualgraph import DualGraph
-
-if TYPE_CHECKING:
-    import networkx as nx
+from repro.topology.dualgraph import DualGraph, bfs_distances
 
 
 @dataclass(frozen=True)
@@ -42,13 +39,14 @@ class Backbone:
         members: All backbone nodes (MIS + connectors).
         mis: The independent "anchor" nodes.
         connectors: The path nodes added to connect anchor pairs.
-        graph: The backbone's induced subgraph of ``G``.
+        graph: The backbone's induced subgraph of ``G``, as an adjacency
+            mapping: member -> its backbone neighbors, ascending.
     """
 
     members: frozenset[NodeId]
     mis: frozenset[NodeId]
     connectors: frozenset[NodeId]
-    graph: nx.Graph
+    graph: Mapping[NodeId, tuple[NodeId, ...]]
 
     @property
     def size(self) -> int:
@@ -61,23 +59,45 @@ def build_cds(dual: DualGraph, mis: frozenset[NodeId]) -> Backbone:
 
     Raises :class:`AlgorithmError` if ``mis`` is not independent+maximal.
     """
-    import networkx as nx
-
     require_valid_mis(dual, mis)
     overlay = build_overlay(dual, mis)
     connectors: set[NodeId] = set()
-    g = dual.reliable_graph
-    for u, v in overlay.edges:
-        path = nx.shortest_path(g, u, v)
-        connectors.update(path[1:-1])
+    for u, nbrs in overlay.items():
+        for v in nbrs:
+            if u < v:
+                connectors.update(_shortest_path_interior(dual, u, v))
     members = frozenset(mis | connectors)
-    induced = g.subgraph(members).copy()
+    induced = {
+        v: tuple(u for u in dual.reliable_neighbors_sorted(v) if u in members)
+        for v in sorted(members)
+    }
     return Backbone(
         members=members,
         mis=mis,
         connectors=frozenset(connectors - mis),
         graph=induced,
     )
+
+
+def _shortest_path_interior(
+    dual: DualGraph, u: NodeId, v: NodeId
+) -> list[NodeId]:
+    """The interior nodes of one shortest ``G``-path from ``u`` to ``v``.
+
+    Walks back from ``u`` along ``v``'s BFS distances, taking the smallest
+    neighbor one hop closer at each step.
+    """
+    dist = dual.distances_from(v)
+    interior: list[NodeId] = []
+    node = u
+    while dist[node] > 1:
+        node = next(
+            w
+            for w in dual.reliable_neighbors_sorted(node)
+            if dist.get(w) == dist[node] - 1
+        )
+        interior.append(node)
+    return interior
 
 
 def is_dominating(dual: DualGraph, members: frozenset[NodeId]) -> bool:
@@ -90,14 +110,11 @@ def is_dominating(dual: DualGraph, members: frozenset[NodeId]) -> bool:
 
 def is_connected_within_components(dual: DualGraph, backbone: Backbone) -> bool:
     """True iff the backbone is connected inside every ``G``-component."""
-    import networkx as nx
-
     for component in dual.components():
         present = [v for v in component if v in backbone.members]
-        if len(present) <= 1:
-            continue
-        sub = backbone.graph.subgraph(present)
-        if not nx.is_connected(sub):
+        # The backbone is an induced subgraph of G, so a BFS from one
+        # member never leaves this component.
+        if present and len(bfs_distances(backbone.graph, present[0])) < len(present):
             return False
     return True
 
@@ -135,7 +152,7 @@ def cds_broadcast_schedule(
     dissemination), not a distributed protocol; the distributed version is
     BMMB restricted to backbone relays.
     """
-    if not dual.reliable_graph.has_node(source):
+    if source not in dual.reliable_adjacency:
         raise TopologyError(f"unknown source {source}")
     component = dual.component_of(source)
     if source in backbone.members:
@@ -147,12 +164,8 @@ def cds_broadcast_schedule(
         root = min(dominators)
     covered: set[NodeId] = {source}
     schedule: list[BroadcastStep] = []
-    import networkx as nx
-
-    order = nx.bfs_tree(backbone.graph.subgraph(
-        [v for v in component if v in backbone.members]
-    ), root)
-    for step, sender in enumerate(nx.topological_sort(order)):
+    # BFS discovery order over the backbone: every sender after its parent.
+    for step, sender in enumerate(bfs_distances(backbone.graph, root)):
         reach = (dual.reliable_neighbors(sender) | {sender}) & component
         new = frozenset(reach - covered)
         covered.update(reach)

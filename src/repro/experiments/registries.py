@@ -51,7 +51,6 @@ from repro.mac.standard import StandardMACLayer
 from repro.radio import RadioMACLayer, sinr_mac_layer
 from repro.topology.generators import (
     grid_network,
-    line_graph,
     line_network,
     ring_network,
     star_network,
@@ -267,12 +266,14 @@ def _build_random_geometric(
 def _build_r_restricted_line(
     rng, n: int = 20, r: int = 3, probability: float = 0.5
 ):
-    return with_r_restricted_unreliable(line_graph(n), r=r, probability=probability, rng=rng)
+    return with_r_restricted_unreliable(
+        line_network(n), r=r, probability=probability, rng=rng
+    )
 
 
 @register_topology("arbitrary_line")
 def _build_arbitrary_line(rng, n: int = 20, extra_edges: int = 10):
-    return with_arbitrary_unreliable(line_graph(n), extra_edges, rng=rng)
+    return with_arbitrary_unreliable(line_network(n), extra_edges, rng=rng)
 
 
 @register_topology("parallel_lines")

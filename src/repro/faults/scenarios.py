@@ -31,7 +31,7 @@ import math
 
 from repro.errors import ExperimentError
 from repro.experiments.registries import register_fault
-from repro.faults.events import Edge, FaultEvent, FaultKind, canonical_edge
+from repro.faults.events import Edge, FaultEvent, FaultKind
 from repro.faults.plan import FaultPlan
 from repro.ids import NodeId
 from repro.sim.rng import RandomSource
@@ -48,12 +48,7 @@ def _check_fraction(name: str, value: float) -> None:
 
 def _grey_edges(dual: DualGraph) -> list[Edge]:
     """The flappable (``G' \\ G``) edges in canonical sorted order."""
-    edges = [
-        canonical_edge(u, v)
-        for u, v in dual.unreliable_graph.edges
-        if not dual.is_reliable_edge(u, v)
-    ]
-    return sorted(edges)
+    return list(dual.unreliable_extra_edges)
 
 
 def _exponential(rng: RandomSource, mean: float) -> float:

@@ -161,7 +161,7 @@ class StandardMACLayer:
         """Attach an automaton to a node.  Every node must be registered."""
         if node_id in self._bindings:
             raise MACError(f"node {node_id} registered twice")
-        if not self.dual.reliable_graph.has_node(node_id):
+        if node_id not in self.dual.reliable_adjacency:
             raise MACError(f"node {node_id} is not in the topology")
         self._bindings[node_id] = _NodeBinding(self, node_id, automaton)
         self._pending[node_id] = None

@@ -136,7 +136,7 @@ def run_standard(
     if schedule.k == 0:
         raise ExperimentError("MMB requires k >= 1 messages")
     for node in static_view.messages:
-        if not dual.reliable_graph.has_node(node):
+        if node not in dual.reliable_adjacency:
             raise ExperimentError(f"assignment references unknown node {node}")
 
     started = _time.perf_counter()

@@ -3,26 +3,31 @@
 The paper's networks are pairs ``(G, G')`` over the same vertex set with
 ``E ⊆ E'``: ``G`` carries the reliable links (always delivered), and
 ``G' \\ G`` carries the unreliable links (delivered at the whim of the
-message scheduler).  This subpackage provides:
+message scheduler).  Every network is one
+:class:`~repro.topology.dualgraph.DualGraph`, built from edge lists over
+nodes ``0..n-1``; the package needs no graph library.  This subpackage
+provides:
 
 * :class:`~repro.topology.dualgraph.DualGraph` — the validated container
-  with reliable/unreliable neighbor queries, distances, power graphs, and
-  constraint predicates (``r``-restricted, grey-zone).
-* :mod:`~repro.topology.generators` — reliable-graph families plus
-  unreliable-edge augmentations (arbitrary / ``r``-restricted).
-* :mod:`~repro.topology.geometric` — embedded unit-disk graphs and grey-zone
-  networks (``G`` = unit disk at radius 1, ``G'`` edges up to distance ``c``).
+  with reliable/unreliable neighbor queries, sorted edge views, BFS
+  distances, components, the diameter, and the constraint predicates
+  (``r``-restricted, grey-zone).
+* :mod:`~repro.topology.generators` — ``G' = G`` families (line, ring,
+  star, grid, tree) plus unreliable-edge augmentations of such a base
+  (arbitrary / ``r``-restricted).
+* :mod:`~repro.topology.geometric` — grey-zone networks (``G`` = unit disk
+  at radius 1, ``G'`` edges up to distance ``c``) from an embedding.
 * :mod:`~repro.topology.adversarial` — the lower-bound constructions of
   §3.3: the Figure 2 parallel-lines network and the Lemma 3.18 choke star.
 * :mod:`~repro.topology.metrics` — diameters, eccentricities, component
   structure helpers shared by the analysis code.
+* :mod:`~repro.topology.serialization` — the JSON round trip.
 """
 
 from repro.topology.dualgraph import DualGraph
 from repro.topology.generators import (
     grid_network,
     line_network,
-    reliable_only,
     ring_network,
     star_network,
     tree_network,
@@ -43,7 +48,6 @@ __all__ = [
     "star_network",
     "grid_network",
     "tree_network",
-    "reliable_only",
     "with_arbitrary_unreliable",
     "with_r_restricted_unreliable",
     "grey_zone_network",

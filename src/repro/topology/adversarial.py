@@ -91,7 +91,7 @@ def parallel_lines_network(depth: int) -> ParallelLinesNetwork:
     for i in range(depth):
         positions[a_nodes[i]] = (float(i), 0.0)
         positions[b_nodes[i]] = (float(i), LINE_GAP)
-    dual = DualGraph.from_edges(
+    dual = DualGraph(
         2 * depth,
         reliable,
         cross,
@@ -173,7 +173,7 @@ def choke_star_network(k: int, clique_sources: bool = True) -> ChokeStarNetwork:
         positions[sink] = (1.035, 0.0)
     else:
         edges += [(leaf, hub) for leaf in leaves]
-    dual = DualGraph.from_edges(
+    dual = DualGraph(
         k + 1,
         edges,
         (),
@@ -234,7 +234,7 @@ def combined_lower_bound_network(depth: int, k: int) -> CombinedLowerBoundNetwor
     for idx, node in enumerate(blob):
         if idx < k - 2:
             messages[node] = (Message(f"mb{idx}", node),)
-    dual = DualGraph.from_edges(
+    dual = DualGraph(
         k - 1 + 2 * depth,
         edges,
         cross,

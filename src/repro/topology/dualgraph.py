@@ -1,22 +1,21 @@
 """The dual graph ``(G, G')`` — reliable and unreliable connectivity.
 
-This is the package's central topology type.  It validates the model's
-structural constraint ``E ⊆ E'`` at construction, precomputes adjacency
-sets/tuples for the hot paths (the MAC layer queries neighbors on every
-broadcast; the round and radio substrates iterate them every round/slot),
-and offers the graph-theoretic helpers the paper's definitions use:
-shortest-path distances in ``G``, the power graph ``G^r``, the
-``r``-restriction predicate, and the grey-zone embedding predicate.
+This is the package's one graph type.  A :class:`DualGraph` is built from
+edge lists over nodes ``0..n-1``: the reliable edges ``E`` and the extra
+edges ``E' \\ E``, so ``E ⊆ E'`` holds by construction.  It validates
+every endpoint, precomputes adjacency sets/tuples for the hot paths (the
+MAC layer queries neighbors on every broadcast; the round and radio
+substrates iterate them every round/slot), and offers the graph-theoretic
+helpers the paper's definitions use: shortest-path distances in ``G``,
+components, the diameter, the ``r``-restriction predicate, and the
+grey-zone embedding predicate.
 
 Performance notes:
 
 * Every query the simulation loop touches — neighbor sets, sorted neighbor
-  tuples, node lists, BFS distances, components, diameter, ``G^r`` — is
-  answered from arrays/dicts precomputed at construction or from
-  **per-instance** caches filled on first use.  networkx is used only to
-  *build* and validate the graphs; no hot path calls into it, and it is
-  imported inside the functions that build graphs, so importing this
-  module does not load it.
+  tuples, node lists, BFS distances, components, diameter — is answered
+  from dicts precomputed at construction or from **per-instance** caches
+  filled on first use.  The package needs no graph library at all.
 * The diameter does not run one BFS per node through the distance cache:
   :func:`hop_diameter` runs a bit-parallel BFS from every source at once
   (one Python-int bitmask of reached sources per node), in blocks of at
@@ -24,11 +23,10 @@ Performance notes:
   big-int ORs and O(n·block/8) bytes, and ``_bfs_cache`` is left untouched.
 * Caches are per-instance (plain dicts), not module-level ``lru_cache``:
   an ``lru_cache`` keyed on ``self`` would pin every :class:`DualGraph`
-  (and its networkx graphs) alive process-wide — a real leak across the
-  thousands of topologies a parallel sweep builds.
-* Instances are treated as immutable after construction (mutating the
-  underlying networkx graphs voids the caches); nothing in the package
-  mutates them.
+  alive process-wide — a real leak across the thousands of topologies a
+  parallel sweep builds.
+* Instances are immutable after construction; nothing in the package
+  mutates their adjacency.
 """
 
 from __future__ import annotations
@@ -37,15 +35,13 @@ import math
 from collections import deque
 from functools import reduce
 from operator import or_
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from repro.errors import TopologyError
 from repro.ids import NodeId
 
-if TYPE_CHECKING:
-    import networkx as nx
-
 Position = tuple[float, float]
+Edge = tuple[NodeId, NodeId]
 
 #: Cap on the number of cached BFS sources per instance (the cache serves
 #: point queries such as :meth:`DualGraph.distance`; it simply restarts
@@ -55,6 +51,30 @@ _BFS_CACHE_MAX = 4096
 #: Sources per block of :func:`hop_diameter`'s bit-parallel BFS; bounds its
 #: masks at n·block bits.
 _DIAMETER_BLOCK = 4096
+
+
+def bfs_distances(
+    adj: Mapping[NodeId, Iterable[NodeId]],
+    source: NodeId,
+    cutoff: int | None = None,
+) -> dict[NodeId, int]:
+    """Hop distances from ``source`` in the graph with adjacency ``adj``.
+
+    Only nodes within ``cutoff`` hops are returned when a cutoff is given.
+    The dict's order is BFS discovery order.
+    """
+    dist = {source: 0}
+    frontier = deque((source,))
+    while frontier:
+        v = frontier.popleft()
+        d = dist[v] + 1
+        if cutoff is not None and d > cutoff:
+            break
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = d
+                frontier.append(u)
+    return dist
 
 
 def hop_diameter(adj: Mapping[NodeId, Collection[NodeId]]) -> int:
@@ -89,77 +109,109 @@ def hop_diameter(adj: Mapping[NodeId, Collection[NodeId]]) -> int:
     return diameter
 
 
+def _add_edges(
+    adjacency: list[set[NodeId]], edges: Iterable[Edge], layer: str
+) -> None:
+    """Add ``edges`` to ``adjacency`` (nodes ``0..len-1``), validating each."""
+    n = len(adjacency)
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise TopologyError(
+                f"{layer} edge {edge!r} is not a node pair"
+            ) from None
+        if not (
+            isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n
+        ):
+            raise TopologyError(
+                f"{layer} edge ({u!r}, {v!r}) has an endpoint outside 0..{n - 1}"
+            )
+        if u == v:
+            raise TopologyError(f"{layer} self-loop ({u}, {v}) not allowed")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+
+def _sorted_edges(
+    adj_sorted: Mapping[NodeId, tuple[NodeId, ...]],
+) -> tuple[Edge, ...]:
+    """The edges ``(u, v)``, ``u < v``, of a sorted adjacency, ascending."""
+    return tuple((u, v) for u, nbrs in adj_sorted.items() for v in nbrs if u < v)
+
+
 class DualGraph:
-    """A validated dual graph ``(G, G')`` with optional plane embedding.
+    """A validated dual graph ``(G, G')`` over nodes ``0..n-1``.
 
     Args:
-        reliable: The reliable graph ``G``.
-        unreliable: The full communication graph ``G'``; must contain every
-            vertex and edge of ``G``.  Edges of ``G' \\ G`` are the
-            *unreliable* links.
+        n: Number of nodes.
+        reliable_edges: The edges ``E`` of the reliable graph ``G``.
+        unreliable_extra_edges: The edges of ``G' \\ G`` (the *unreliable*
+            links); ``G'`` is ``E`` plus these.  A pair listed in both is
+            reliable.
         positions: Optional plane embedding ``p: V → R²`` (required by the
             grey-zone constraint predicate and by geometric generators).
         name: Human-readable label used in experiment reports.
 
     Raises:
-        TopologyError: If the vertex sets differ, ``E ⊄ E'``, or positions
-            are given for only part of the vertex set.
+        TopologyError: If an edge is not a pair of nodes in ``0..n-1``, is
+            a self-loop, or positions are given for only part of the
+            vertex set.
     """
 
     def __init__(
         self,
-        reliable: nx.Graph,
-        unreliable: nx.Graph,
+        n: int,
+        reliable_edges: Iterable[Edge],
+        unreliable_extra_edges: Iterable[Edge] = (),
         positions: Mapping[NodeId, Position] | None = None,
         name: str = "dual-graph",
     ):
-        if set(reliable.nodes) != set(unreliable.nodes):
-            raise TopologyError("G and G' must share the same vertex set")
-        missing = [e for e in reliable.edges if not unreliable.has_edge(*e)]
-        if missing:
-            raise TopologyError(
-                f"E ⊆ E' violated: {len(missing)} reliable edges missing from G' "
-                f"(first: {missing[0]})"
-            )
+        if n < 0:
+            raise TopologyError(f"need n >= 0 nodes, got {n}")
+        g_sets: list[set[NodeId]] = [set() for _ in range(n)]
+        _add_edges(g_sets, reliable_edges, "reliable")
+        gp_sets = [set(adj) for adj in g_sets]
+        _add_edges(gp_sets, unreliable_extra_edges, "unreliable")
         if positions is not None:
-            absent = set(reliable.nodes) - set(positions)
+            absent = set(range(n)) - set(positions)
             if absent:
                 raise TopologyError(
                     f"embedding missing positions for {len(absent)} nodes"
                 )
         self.name = name
-        self._g = reliable
-        self._gp = unreliable
         self.positions: dict[NodeId, Position] | None = (
             dict(positions) if positions is not None else None
         )
         #: Sorted vertex tuple (hot paths iterate this; no per-call sort).
-        self._nodes_sorted: tuple[NodeId, ...] = tuple(sorted(reliable.nodes))
+        self._nodes_sorted: tuple[NodeId, ...] = tuple(range(n))
         # Precomputed adjacency (hot path for the MAC layer): frozensets
         # for O(1) membership, sorted tuples for deterministic iteration
         # without per-broadcast sorting.
-        self._g_adj: dict[NodeId, frozenset[NodeId]] = {
-            v: frozenset(reliable.neighbors(v)) for v in reliable.nodes
-        }
-        self._gp_adj: dict[NodeId, frozenset[NodeId]] = {
-            v: frozenset(unreliable.neighbors(v)) for v in unreliable.nodes
-        }
-        self._unreliable_only_adj: dict[NodeId, frozenset[NodeId]] = {
-            v: self._gp_adj[v] - self._g_adj[v] for v in reliable.nodes
-        }
         self._g_adj_sorted: dict[NodeId, tuple[NodeId, ...]] = {
-            v: tuple(sorted(adj)) for v, adj in self._g_adj.items()
+            v: tuple(sorted(adj)) for v, adj in enumerate(g_sets)
         }
         self._gp_adj_sorted: dict[NodeId, tuple[NodeId, ...]] = {
-            v: tuple(sorted(adj)) for v, adj in self._gp_adj.items()
+            v: tuple(sorted(adj)) for v, adj in enumerate(gp_sets)
         }
         self._uo_adj_sorted: dict[NodeId, tuple[NodeId, ...]] = {
-            v: tuple(sorted(adj))
-            for v, adj in self._unreliable_only_adj.items()
+            v: tuple(sorted(gp_sets[v] - g_sets[v])) for v in range(n)
         }
+        self._g_adj: dict[NodeId, frozenset[NodeId]] = {
+            v: frozenset(adj) for v, adj in self._g_adj_sorted.items()
+        }
+        self._gp_adj: dict[NodeId, frozenset[NodeId]] = {
+            v: frozenset(adj) for v, adj in self._gp_adj_sorted.items()
+        }
+        self._unreliable_only_adj: dict[NodeId, frozenset[NodeId]] = {
+            v: frozenset(adj) for v, adj in self._uo_adj_sorted.items()
+        }
+        self._reliable_edge_count = sum(map(len, g_sets)) // 2
+        self._unreliable_edge_count = (
+            sum(map(len, gp_sets)) // 2 - self._reliable_edge_count
+        )
         # Per-instance lazy caches (see module docstring).
         self._bfs_cache: dict[NodeId, dict[NodeId, int]] = {}
-        self._power_cache: dict[int, nx.Graph] = {}
         self._components_cache: list[frozenset[NodeId]] | None = None
         self._component_of_cache: dict[NodeId, frozenset[NodeId]] | None = None
         self._diameter_cache: int | None = None
@@ -183,16 +235,6 @@ class DualGraph:
         return self._nodes_sorted
 
     @property
-    def reliable_graph(self) -> nx.Graph:
-        """The reliable graph ``G`` (do not mutate)."""
-        return self._g
-
-    @property
-    def unreliable_graph(self) -> nx.Graph:
-        """The full graph ``G'`` (do not mutate)."""
-        return self._gp
-
-    @property
     def reliable_adjacency(self) -> Mapping[NodeId, frozenset[NodeId]]:
         """``v -> reliable_neighbors(v)`` for every vertex (do not mutate).
 
@@ -200,6 +242,17 @@ class DualGraph:
         is the O(1) vertex test hot paths use.
         """
         return self._g_adj
+
+    @property
+    def reliable_edges(self) -> tuple[Edge, ...]:
+        """The edges of ``G`` as pairs ``(u, v)`` with ``u < v``, ascending."""
+        return _sorted_edges(self._g_adj_sorted)
+
+    @property
+    def unreliable_extra_edges(self) -> tuple[Edge, ...]:
+        """The edges of ``G' \\ G`` as pairs ``(u, v)`` with ``u < v``,
+        ascending."""
+        return _sorted_edges(self._uo_adj_sorted)
 
     def reliable_neighbors(self, v: NodeId) -> frozenset[NodeId]:
         """Neighbors of ``v`` in ``G`` (links the MAC always delivers on)."""
@@ -236,12 +289,12 @@ class DualGraph:
     @property
     def reliable_edge_count(self) -> int:
         """Number of edges in ``G``."""
-        return self._g.number_of_edges()
+        return self._reliable_edge_count
 
     @property
     def unreliable_edge_count(self) -> int:
         """Number of edges in ``G' \\ G``."""
-        return self._gp.number_of_edges() - self._g.number_of_edges()
+        return self._unreliable_edge_count
 
     def max_gprime_degree(self) -> int:
         """Maximum degree in ``G'``; bounds worst-case receiver contention."""
@@ -260,16 +313,7 @@ class DualGraph:
             return cached
         if source not in self._g_adj:
             raise TopologyError(f"unknown node {source}")
-        adj = self._g_adj
-        dist = {source: 0}
-        frontier = deque((source,))
-        while frontier:
-            v = frontier.popleft()
-            d = dist[v] + 1
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = d
-                    frontier.append(u)
+        dist = bfs_distances(self._g_adj, source)
         if len(self._bfs_cache) >= _BFS_CACHE_MAX:
             self._bfs_cache.clear()
         self._bfs_cache[source] = dist
@@ -331,50 +375,13 @@ class DualGraph:
     # ------------------------------------------------------------------
     # Paper constraint predicates
     # ------------------------------------------------------------------
-    def power_graph(self, r: int) -> nx.Graph:
-        """The ``r``-th power ``G^r``: edges between distinct nodes within
-        ``r`` hops of each other in ``G`` (no self-loops, paper §3.2).
-
-        Cached per instance and keyed by ``r`` — do not mutate the result.
-        """
-        if r < 1:
-            raise TopologyError(f"power graph exponent must be >= 1, got {r}")
-        cached = self._power_cache.get(r)
-        if cached is not None:
-            return cached
-        import networkx as nx
-
-        adj = self._g_adj
-        power = nx.Graph()
-        power.add_nodes_from(self._g.nodes)
-        for v in self._nodes_sorted:
-            # Bounded BFS to depth r.
-            dist = {v: 0}
-            frontier = deque((v,))
-            while frontier:
-                w = frontier.popleft()
-                d = dist[w] + 1
-                if d > r:
-                    break
-                for u in adj[w]:
-                    if u not in dist:
-                        dist[u] = d
-                        frontier.append(u)
-            for u in dist:
-                if u != v:
-                    power.add_edge(v, u)
-        self._power_cache[r] = power
-        return power
-
     def is_g_equals_gprime(self) -> bool:
         """True under the original [29/30] assumption ``G' = G``."""
         return self.unreliable_edge_count == 0
 
     def is_r_restricted(self, r: int) -> bool:
         """True if every ``G'`` edge connects nodes within ``r`` hops in ``G``."""
-        for u, v in self._gp.edges:
-            if u in self._g_adj[v]:
-                continue
+        for u, v in self.unreliable_extra_edges:
             try:
                 if self.distance(u, v) > r:
                     return False
@@ -389,9 +396,7 @@ class DualGraph:
         (no finite ``r`` exists — the "arbitrary G'" regime).
         """
         worst = 1
-        for u, v in self._gp.edges:
-            if u in self._g_adj[v]:
-                continue
+        for u, v in self.unreliable_extra_edges:
             try:
                 worst = max(worst, self.distance(u, v))
             except TopologyError:
@@ -416,7 +421,8 @@ class DualGraph:
                 in_e = v in self._g_adj[u]
                 if in_e != (dist <= 1.0 + 1e-12):
                     return False
-        for u, v in self._gp.edges:
+        # Clause (1) already puts every E edge within 1 <= c.
+        for u, v in self.unreliable_extra_edges:
             if self.euclidean(u, v) > c + 1e-12:
                 return False
         return True
@@ -427,36 +433,6 @@ class DualGraph:
             raise TopologyError("no embedding available")
         (ux, uy), (vx, vy) = self.positions[u], self.positions[v]
         return math.hypot(ux - vx, uy - vy)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def from_edges(
-        n: int,
-        reliable_edges: Iterable[tuple[NodeId, NodeId]],
-        unreliable_extra_edges: Iterable[tuple[NodeId, NodeId]] = (),
-        positions: Mapping[NodeId, Position] | None = None,
-        name: str = "dual-graph",
-    ) -> "DualGraph":
-        """Build a dual graph over nodes ``0..n-1`` from edge lists.
-
-        ``unreliable_extra_edges`` lists only the edges of ``G' \\ G``; the
-        reliable edges are included in ``G'`` automatically.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(reliable_edges)
-        gp = nx.Graph()
-        gp.add_nodes_from(range(n))
-        gp.add_edges_from(g.edges)
-        for u, v in unreliable_extra_edges:
-            if u == v:
-                raise TopologyError(f"self-loop ({u},{v}) not allowed")
-            gp.add_edge(u, v)
-        return DualGraph(g, gp, positions=positions, name=name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

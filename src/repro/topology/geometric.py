@@ -14,15 +14,11 @@ be ``G'``-neighbors, so we expose a sampling probability for the grey band.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
 from repro.ids import NodeId
 from repro.sim.rng import RandomSource
 from repro.topology.dualgraph import DualGraph, Position
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def _close_pairs(
@@ -73,16 +69,6 @@ def _close_pairs(
     return pairs
 
 
-def unit_disk_graph(positions: dict[NodeId, Position], radius: float = 1.0) -> nx.Graph:
-    """The unit-disk graph of an embedding: edges at distance ≤ ``radius``."""
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(positions)
-    g.add_edges_from((u, v) for u, v, _dist in _close_pairs(positions, radius))
-    return g
-
-
 def _check_grey_zone_params(c: float, grey_edge_probability: float) -> None:
     if c < 1.0:
         raise TopologyError(f"grey-zone constant must satisfy c >= 1, got {c}")
@@ -113,7 +99,7 @@ def _grey_zone_from_pairs(
             reliable_edges.append((u, v))
         elif rng.bernoulli(grey_edge_probability):
             extra.append((u, v))
-    return DualGraph.from_edges(
+    return DualGraph(
         len(positions), reliable_edges, extra, positions=positions, name=name
     )
 

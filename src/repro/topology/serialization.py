@@ -21,18 +21,12 @@ SCHEMA_VERSION = 1
 
 def to_dict(dual: DualGraph) -> dict[str, Any]:
     """Serialize a dual graph to a JSON-compatible dictionary."""
-    reliable = sorted(tuple(sorted(e)) for e in dual.reliable_graph.edges)
-    extra = sorted(
-        tuple(sorted((u, v)))
-        for u, v in dual.unreliable_graph.edges
-        if not dual.is_reliable_edge(u, v)
-    )
     record: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "name": dual.name,
         "n": dual.n,
-        "reliable_edges": [list(e) for e in reliable],
-        "unreliable_extra_edges": [list(e) for e in extra],
+        "reliable_edges": [list(e) for e in dual.reliable_edges],
+        "unreliable_extra_edges": [list(e) for e in dual.unreliable_extra_edges],
     }
     if dual.positions is not None:
         record["positions"] = {
@@ -55,10 +49,10 @@ def from_dict(record: dict[str, Any]) -> DualGraph:
             int(node): (float(pos[0]), float(pos[1]))
             for node, pos in record["positions"].items()
         }
-    return DualGraph.from_edges(
+    return DualGraph(
         int(record["n"]),
-        [tuple(e) for e in record["reliable_edges"]],
-        [tuple(e) for e in record["unreliable_extra_edges"]],
+        record["reliable_edges"],
+        record["unreliable_extra_edges"],
         positions=positions,
         name=str(record.get("name", "loaded")),
     )

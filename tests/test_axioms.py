@@ -25,7 +25,7 @@ def valid_instance(log, sender=1, bcast=0.0, dual=None):
     """A fully legal instance on the 4-line: deliveries fast, ack in bound."""
     inst = log.new_instance(sender, "m", bcast)
     for v in (sender - 1, sender + 1):
-        if dual is None or dual.reliable_graph.has_node(v):
+        if dual is None or v in dual.reliable_adjacency:
             inst.rcv_times[v] = bcast + 0.5
     inst.ack_time = bcast + 0.6
     return inst
@@ -166,7 +166,7 @@ def test_progress_satisfied_by_early_delivery_from_same_instance():
 def test_progress_satisfied_by_contending_other_instance():
     """The Figure 2 loophole: a starved G-delivery is legal when a *different*
     still-pending G'-instance delivered early."""
-    dual = DualGraph.from_edges(
+    dual = DualGraph(
         4, [(0, 1), (2, 3)], [(2, 1)]
     )  # 0-1 reliable line; 2-1 unreliable; 2-3 reliable
     log = InstanceLog()
@@ -184,7 +184,7 @@ def test_progress_satisfied_by_contending_other_instance():
 def test_progress_violated_once_legalizer_terminates_early():
     """Same as above but the G'-instance acks early: its old rcv no longer
     contends for later windows, so the starvation becomes illegal."""
-    dual = DualGraph.from_edges(4, [(0, 1), (2, 3)], [(2, 1)])
+    dual = DualGraph(4, [(0, 1), (2, 3)], [(2, 1)])
     log = InstanceLog()
     starving = log.new_instance(0, "m0", 0.0)
     starving.rcv_times[1] = 8.0

@@ -28,7 +28,6 @@ from repro.topology import (
     with_arbitrary_unreliable,
     with_r_restricted_unreliable,
 )
-from repro.topology.generators import line_graph
 
 from tests.conftest import FACK, FPROG, run_bmmb, single_source
 
@@ -77,14 +76,9 @@ def test_bmmb_multi_origin_assignment():
 
 
 def test_bmmb_on_disconnected_graph_solves_per_component():
-    import networkx as nx
-
     from repro.topology import DualGraph
 
-    g = nx.Graph()
-    g.add_nodes_from(range(6))
-    g.add_edges_from([(0, 1), (1, 2), (3, 4), (4, 5)])
-    dual = DualGraph(g, g.copy())
+    dual = DualGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     rng = RandomSource(21)
     assignment = MessageAssignment.one_each([0, 3])
     result = run_bmmb(dual, assignment, UniformDelayScheduler(rng))
@@ -108,7 +102,7 @@ def test_bmmb_respects_theorem_316_bound_gg():
 def test_bmmb_respects_theorem_316_bound_r_restricted(r):
     rng = RandomSource(33)
     dual = with_r_restricted_unreliable(
-        line_graph(14), r=r, probability=0.6, rng=rng.child(f"t{r}")
+        line_network(14), r=r, probability=0.6, rng=rng.child(f"t{r}")
     )
     k = 4
     result = run_bmmb(
@@ -123,7 +117,7 @@ def test_bmmb_respects_theorem_316_bound_r_restricted(r):
 
 def test_bmmb_respects_theorem_31_bound_arbitrary():
     rng = RandomSource(33)
-    dual = with_arbitrary_unreliable(line_graph(14), 10, rng.child("t"))
+    dual = with_arbitrary_unreliable(line_network(14), 10, rng.child("t"))
     k = 5
     result = run_bmmb(
         dual,
@@ -137,7 +131,7 @@ def test_bmmb_respects_theorem_31_bound_arbitrary():
 
 def test_bmmb_executions_are_axiom_clean_across_schedulers():
     rng = RandomSource(44)
-    dual = with_r_restricted_unreliable(line_graph(10), 2, 0.5, rng.child("t"))
+    dual = with_r_restricted_unreliable(line_network(10), 2, 0.5, rng.child("t"))
     for name, sched in (
         ("uniform", UniformDelayScheduler(rng.child("u"))),
         ("contention", ContentionScheduler(rng.child("c"))),
@@ -157,12 +151,9 @@ def test_bmmb_is_deterministic_given_seed():
 
 
 def test_bmmb_single_message_single_node():
-    from repro.topology import reliable_only
-    import networkx as nx
+    from repro.topology import DualGraph
 
-    g = nx.Graph()
-    g.add_node(0)
-    dual = reliable_only(g)
+    dual = DualGraph(1, [])
     rng = RandomSource(1)
     result = run_bmmb(dual, single_source(1), UniformDelayScheduler(rng))
     assert result.solved
@@ -186,7 +177,7 @@ def test_bmmb_queue_is_fifo():
 
 def test_bmmb_duplicate_suppression_under_heavy_grey_traffic():
     rng = RandomSource(9)
-    dual = with_arbitrary_unreliable(line_graph(10), 15, rng.child("t"))
+    dual = with_arbitrary_unreliable(line_network(10), 15, rng.child("t"))
     result = run_bmmb(
         dual,
         single_source(3),

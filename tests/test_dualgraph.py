@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -10,26 +12,52 @@ from hypothesis import strategies as st
 from repro.errors import TopologyError
 from repro.topology import DualGraph
 from repro.topology import dualgraph
-from repro.topology.dualgraph import hop_diameter
+from repro.topology.dualgraph import bfs_distances, hop_diameter
 
 
 def make_dual(n, reliable, extra, positions=None):
-    return DualGraph.from_edges(n, reliable, extra, positions=positions)
+    return DualGraph(n, reliable, extra, positions=positions)
 
 
 def test_vertex_sets_must_match():
-    g = nx.path_graph(3)
-    gp = nx.path_graph(4)
-    with pytest.raises(TopologyError, match="vertex set"):
-        DualGraph(g, gp)
+    # G' has no vertex outside G's 0..n-1: a G' edge reaching one is refused.
+    with pytest.raises(TopologyError, match=r"\(2, 3\) has an endpoint outside 0..2"):
+        make_dual(3, [(0, 1), (1, 2)], [(2, 3)])
 
 
 def test_reliable_edges_must_be_in_gprime():
-    g = nx.path_graph(3)
-    gp = nx.Graph()
-    gp.add_nodes_from(range(3))
-    with pytest.raises(TopologyError, match="E ⊆ E'"):
-        DualGraph(g, gp)
+    # E ⊆ E' by construction; a pair listed in both layers is reliable.
+    dual = make_dual(3, [(0, 1)], [(1, 0), (1, 2)])
+    assert dual.is_gprime_edge(0, 1) and dual.is_reliable_edge(0, 1)
+    assert dual.reliable_edge_count == 1
+    assert dual.unreliable_edge_count == 1
+    assert dual.unreliable_extra_edges == ((1, 2),)
+
+
+@pytest.mark.parametrize(
+    "reliable, extra, edge",
+    [
+        ([(0, 1), (1, 99)], [], "(1, 99)"),
+        ([(0, 1)], [(2, 3)], "(2, 3)"),
+        ([(-1, 0)], [], "(-1, 0)"),
+        ([(0, 1.5)], [], "(0, 1.5)"),
+    ],
+    ids=["reliable-high", "unreliable-high", "negative", "non-integer"],
+)
+def test_out_of_range_endpoint_is_rejected(reliable, extra, edge):
+    # Before, such an endpoint silently grew the vertex set.
+    with pytest.raises(TopologyError, match=re.escape(f"{edge} has an endpoint")):
+        make_dual(3, reliable, extra)
+
+
+def test_malformed_edge_is_rejected():
+    with pytest.raises(TopologyError, match="not a node pair"):
+        make_dual(3, [(0, 1, 2)], [])
+
+
+def test_negative_node_count_is_rejected():
+    with pytest.raises(TopologyError, match="n >= 0"):
+        make_dual(-1, [], [])
 
 
 def test_from_edges_includes_reliable_in_gprime():
@@ -42,6 +70,12 @@ def test_from_edges_includes_reliable_in_gprime():
 def test_from_edges_rejects_self_loop():
     with pytest.raises(TopologyError, match="self-loop"):
         make_dual(3, [(0, 1)], [(2, 2)])
+
+
+def test_reliable_self_loop_is_rejected():
+    # Before, node 1 became its own reliable neighbour.
+    with pytest.raises(TopologyError, match=r"reliable self-loop \(1, 1\)"):
+        make_dual(3, [(0, 1), (1, 1)], [])
 
 
 def test_neighbor_partitions():
@@ -81,20 +115,6 @@ def test_components_and_component_of():
     comps = {frozenset(c) for c in dual.components()}
     assert comps == {frozenset({0, 1}), frozenset({2, 3}), frozenset({4})}
     assert dual.component_of(3) == frozenset({2, 3})
-
-
-def test_power_graph_of_line():
-    dual = make_dual(5, [(i, i + 1) for i in range(4)], [])
-    g2 = dual.power_graph(2)
-    assert g2.has_edge(0, 2)
-    assert not g2.has_edge(0, 3)
-    assert not any(u == v for u, v in g2.edges)
-
-
-def test_power_graph_rejects_bad_exponent():
-    dual = make_dual(3, [(0, 1)], [])
-    with pytest.raises(TopologyError):
-        dual.power_graph(0)
 
 
 def test_r_restriction_predicate():
@@ -174,29 +194,83 @@ def _reference_diameter(g: nx.Graph) -> int:
     )
 
 
+def _nx_pair(n, reliable, extra) -> tuple[nx.Graph, nx.Graph]:
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(reliable)
+    gp = g.copy()
+    gp.add_edges_from(extra)
+    return g, gp
+
+
+def _reference_restriction_radius(g: nx.Graph, gp: nx.Graph) -> int | None:
+    worst = 1
+    for u, v in gp.edges:
+        if g.has_edge(u, v):
+            continue
+        if not nx.has_path(g, u, v):
+            return None
+        worst = max(worst, nx.shortest_path_length(g, u, v))
+    return worst
+
+
 @st.composite
 def sparse_graphs(draw):
-    """Random graphs on non-contiguous ids, often disconnected."""
+    """Random dual graphs ``(n, reliable, extra)`` over ``0..n-1``, often
+    disconnected; pairs repeat, come in either orientation, and may be
+    listed in both layers."""
     n = draw(st.integers(min_value=1, max_value=40))
-    ids = draw(
-        st.lists(
-            st.integers(min_value=-50, max_value=10_000),
-            min_size=n,
-            max_size=n,
-            unique=True,
-        )
-    )
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
-    g = nx.Graph()
-    g.add_nodes_from(ids)
-    g.add_edges_from((ids[i], ids[j]) for i, j in chosen)
-    return g
+
+    def edges(max_size):
+        if not pairs:
+            return []
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=max_size))
+        flips = draw(
+            st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen))
+        )
+        return [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+
+    return n, edges(3 * n), edges(n)
 
 
-@given(sparse_graphs(), st.sampled_from([1, 2, 3, 7, 4096]))
+@given(sparse_graphs())
 @settings(max_examples=150, deadline=None)
-def test_diameter_matches_per_component_bfs(g, block):
+def test_constructor_matches_networkx(graph):
+    n, reliable, extra = graph
+    g, gp = _nx_pair(n, reliable, extra)
+    dual = DualGraph(n, reliable, extra)
+    assert dual.nodes == sorted(g.nodes)
+    for v in g:
+        only = set(gp.adj[v]) - set(g.adj[v])
+        assert dual.reliable_neighbors(v) == frozenset(g.adj[v])
+        assert dual.gprime_neighbors(v) == frozenset(gp.adj[v])
+        assert dual.unreliable_only_neighbors(v) == frozenset(only)
+        assert dual.reliable_neighbors_sorted(v) == tuple(sorted(g.adj[v]))
+        assert dual.gprime_neighbors_sorted(v) == tuple(sorted(gp.adj[v]))
+        assert dual.unreliable_only_neighbors_sorted(v) == tuple(sorted(only))
+    assert dual.reliable_edge_count == g.number_of_edges()
+    assert dual.unreliable_edge_count == gp.number_of_edges() - g.number_of_edges()
+    assert list(dual.reliable_edges) == sorted(tuple(sorted(e)) for e in g.edges)
+    assert list(dual.unreliable_extra_edges) == sorted(
+        tuple(sorted(e)) for e in gp.edges if not g.has_edge(*e)
+    )
+    for v in list(g)[:3]:
+        for cutoff in (None, 0, 2):
+            assert bfs_distances(dual.reliable_adjacency, v, cutoff) == dict(
+                nx.single_source_shortest_path_length(g, v, cutoff=cutoff)
+            )
+    radius = _reference_restriction_radius(g, gp)
+    assert dual.restriction_radius() == radius
+    for r in (1, 2, 3, 5):
+        assert dual.is_r_restricted(r) == (radius is not None and radius <= r)
+
+
+@given(sparse_graphs(), st.sampled_from([1, 2, 3, 7, 4096]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_diameter_matches_per_component_bfs(graph, block, data):
+    n, reliable, _extra = graph
+    g, _gp = _nx_pair(n, reliable, ())
     expected = _reference_diameter(g)
     per_component = max(
         (
@@ -207,11 +281,21 @@ def test_diameter_matches_per_component_bfs(g, block):
         default=0,
     )
     assert expected == per_component
+    # hop_diameter takes any adjacency mapping: relabel onto sparse ids.
+    ids = data.draw(
+        st.lists(
+            st.integers(min_value=-50, max_value=10_000),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    sparse = nx.relabel_nodes(g, dict(enumerate(ids)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dualgraph, "_DIAMETER_BLOCK", block)
-        dual = DualGraph(g, g.copy())
+        dual = DualGraph(n, reliable)
         assert dual.diameter() == expected
-        assert hop_diameter(g.adj) == expected
+        assert hop_diameter(sparse.adj) == expected
     assert dual._bfs_cache == {}
 
 

@@ -189,8 +189,8 @@ def test_materialize_topology_is_seed_deterministic():
     spec = full_spec()
     first = materialize_topology(spec)
     second = materialize_topology(spec)
-    assert set(first.reliable_graph.edges) == set(second.reliable_graph.edges)
-    assert set(first.unreliable_graph.edges) == set(second.unreliable_graph.edges)
+    assert first.reliable_edges == second.reliable_edges
+    assert first.unreliable_extra_edges == second.unreliable_extra_edges
 
 
 

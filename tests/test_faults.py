@@ -27,7 +27,7 @@ from repro.topology import DualGraph
 def grey_line(n: int = 8) -> DualGraph:
     """A line 0-1-...-n-1 plus grey-zone chords (i, i+2)."""
     chords = [(i, i + 2) for i in range(n - 2)]
-    return DualGraph.from_edges(
+    return DualGraph(
         n, [(i, i + 1) for i in range(n - 1)], chords, name="grey-line"
     )
 

@@ -110,14 +110,9 @@ def test_fmmb_success_rate_over_seeds():
 
 
 def test_fmmb_on_disconnected_network():
-    import networkx as nx
-
     from repro.topology import DualGraph
 
-    g = nx.Graph()
-    g.add_nodes_from(range(8))
-    g.add_edges_from([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    dual = DualGraph(g, g.copy())
+    dual = DualGraph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
     assignment = MessageAssignment.one_each([0, 4])
     result = run_fmmb(dual, assignment, fprog=1.0, seed=9)
     assert result.solved

@@ -85,7 +85,7 @@ def test_mis_silencing_by_unreliable_neighbor_counts():
     """Election: receiving *any* message — even from a G'-only neighbor —
     temporarily deactivates a silent node (paper §4.2)."""
     # 0—1 reliable; 2 is G'-only neighbor of both.
-    dual = DualGraph.from_edges(3, [(0, 1)], [(0, 2), (1, 2)])
+    dual = DualGraph(3, [(0, 1)], [(0, 2), (1, 2)])
     rng = RandomSource(1, "mis-edge")
     result = build_mis(dual, _ScriptedRoundScheduler({}), rng)
     # With no deliveries ever, every silent node stays active; eventually
@@ -102,12 +102,8 @@ def test_mis_announcement_from_unreliable_neighbor_is_ignored():
 
     # Long line where G'-only shortcuts exist: coverage must still come
     # from G-neighbors, so maximality holds w.r.t. G.
-    import networkx as nx
-
-    g = nx.path_graph(9)
-    gp = nx.path_graph(9)
-    gp.add_edge(0, 8)  # long unreliable shortcut
-    dual = DualGraph(g, gp)
+    line = [(i, i + 1) for i in range(8)]
+    dual = DualGraph(9, line, [(0, 8)])  # long unreliable shortcut
     rng = RandomSource(2, "mis-edge2")
     result = build_mis(dual, RandomRoundScheduler(rng.child("r")), rng.child("m"))
     assert is_independent(dual, result.mis)

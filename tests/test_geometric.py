@@ -15,22 +15,22 @@ from repro.topology.geometric import (
     cluster_line_positions,
     grey_zone_network,
     random_geometric_network,
-    unit_disk_graph,
 )
+
+
+def unit_disk(positions):
+    """The grey-zone network with no grey edges: ``G`` alone."""
+    return grey_zone_network(
+        positions, c=1.0, grey_edge_probability=0.0, rng=RandomSource(0)
+    )
 
 
 def test_unit_disk_graph_edges():
     positions = {0: (0.0, 0.0), 1: (0.8, 0.0), 2: (2.0, 0.0)}
-    g = unit_disk_graph(positions)
-    assert g.has_edge(0, 1)
-    assert not g.has_edge(0, 2)
-    assert not g.has_edge(1, 2)
-
-
-def test_unit_disk_radius_parameter():
-    positions = {0: (0.0, 0.0), 1: (1.5, 0.0)}
-    assert not unit_disk_graph(positions, radius=1.0).has_edge(0, 1)
-    assert unit_disk_graph(positions, radius=2.0).has_edge(0, 1)
+    g = unit_disk(positions)
+    assert g.is_reliable_edge(0, 1)
+    assert not g.is_reliable_edge(0, 2)
+    assert not g.is_reliable_edge(1, 2)
 
 
 def test_grey_zone_network_satisfies_predicate():
@@ -79,7 +79,7 @@ def test_random_geometric_network_is_reproducible():
     a = random_geometric_network(20, 2.5, 1.6, 0.3, RandomSource(11))
     b = random_geometric_network(20, 2.5, 1.6, 0.3, RandomSource(11))
     assert a.positions == b.positions
-    assert set(a.unreliable_graph.edges) == set(b.unreliable_graph.edges)
+    assert a.unreliable_extra_edges == b.unreliable_extra_edges
 
 
 def test_random_geometric_network_unconnected_allowed():
@@ -171,5 +171,4 @@ def test_unit_disk_includes_epsilon_band_pairs_across_cell_boundaries():
     non-adjacent grid cells must still be matched (the bucket cell side
     has to cover the matching limit, not just the radius)."""
     positions = {0: (1.0 - 5e-13, 0.0), 1: (2.0, 0.0)}
-    g = unit_disk_graph(positions, radius=1.0)
-    assert g.has_edge(0, 1)
+    assert unit_disk(positions).is_reliable_edge(0, 1)

@@ -1,6 +1,7 @@
 """Import on first use: what importing the package and setting up a
-campaign load, the lazy package exports, and where worker processes
-inherit networkx from.
+campaign load, the lazy package exports, that nothing — topology
+builds, substrates, fabric workers — imports networkx, and that workers
+still fork cleanly from a caller that has imported it itself.
 
 The footprint checks run in fresh interpreters, since this test process
 has long since imported everything.
@@ -151,8 +152,56 @@ def test_subpackages_resolve_after_bare_import(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Warm before fork
+# No graph library
 # ----------------------------------------------------------------------
+def test_no_networkx_import_anywhere(tmp_path):
+    # With networkx blocked, any import of it raises ImportError — in this
+    # interpreter and in the fabric workers it forks.
+    done = run_fresh(
+        """
+        import json, sys
+
+        sys.modules["networkx"] = None
+
+        from repro.campaigns import (
+            FabricConfig, ResultStore, build_campaign, run_campaign,
+        )
+        from repro.experiments import (
+            AlgorithmSpec, ExperimentSpec, Sweep, TopologySpec, run_sweep,
+            substrate_smoke,
+        )
+        from repro.experiments.registries import TOPOLOGIES
+        from repro.sim.rng import RandomSource
+
+        built = {
+            name: TOPOLOGIES.get(name)(RandomSource(0, name)).n
+            for name in TOPOLOGIES.names()
+        }
+        substrate_smoke()
+        run = run_campaign(
+            build_campaign("smoke", points=3),
+            ResultStore("store"),
+            fabric=FabricConfig(workers=2),
+        )
+        base = ExperimentSpec(
+            topology=TopologySpec("line", {"n": 5}),
+            algorithm=AlgorithmSpec("bmmb"),
+        )
+        sweep = run_sweep(Sweep.grid(base, {"topology.n": [4, 5, 6]}), workers=2)
+        print(json.dumps({
+            "built": built,
+            "campaign": run.complete and run.ran == 3,
+            "sweep": all(r.solved for r in sweep.results),
+        }))
+        """,
+        tmp_path,
+    )
+    assert all(n > 0 for n in done["built"].values()), done["built"]
+    assert len(done["built"]) >= 10
+    assert done["campaign"] is True
+    assert done["sweep"] is True
+
+
 #: Runs that start workers; every worker starts in
 #: ``supervision._spawn_workers``, whose ``Process.start`` is recorded.
 FORK_SITES = {
@@ -186,11 +235,15 @@ FORK_SITES = {
 
 @pytest.mark.parametrize("site", sorted(FORK_SITES))
 def test_workers_fork_with_networkx_already_imported(site, tmp_path):
+    # The package no longer needs networkx, but a caller may have imported
+    # it (say, for its own analysis); the workers then fork with it loaded
+    # and must run exactly as without it.
     code = (
         """
         import json, sys
 
         before = "networkx" in sys.modules
+        import networkx
         seen = []
 
         import repro.campaigns.supervision as supervision

@@ -21,11 +21,11 @@ from repro.mac.schedulers import (
 )
 from repro.sim.rng import RandomSource
 from repro.topology import (
+    line_network,
     random_geometric_network,
     with_r_restricted_unreliable,
 )
 from repro.topology.adversarial import parallel_lines_network
-from repro.topology.generators import line_graph
 
 from tests.conftest import FACK, FPROG, run_bmmb, single_source
 
@@ -35,7 +35,7 @@ def test_figure1_row_standard_all_three_cells_ordered():
     G'=G ≤ r-restricted ≤ arbitrary-G' worst case."""
     rng = RandomSource(100)
     k = 5
-    base = line_graph(16)
+    base = line_network(16)
     gg = run_bmmb(
         with_r_restricted_unreliable(base, 1, 0.0, rng.child("a")),
         single_source(k),
@@ -114,7 +114,7 @@ def test_unreliability_structure_not_quantity():
     # Many unreliable edges, all short (r<=4): still fast under worst-case
     # acknowledgments.
     dense_short = with_r_restricted_unreliable(
-        line_graph(15), r=4, probability=1.0, rng=rng.child("a")
+        line_network(15), r=4, probability=1.0, rng=rng.child("a")
     )
     k = 2
     short_result = run_bmmb(

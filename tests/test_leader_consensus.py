@@ -22,7 +22,6 @@ from repro.topology import (
     star_network,
     with_arbitrary_unreliable,
 )
-from repro.topology.generators import line_graph
 
 FACK = 20.0
 FPROG = 1.0
@@ -56,7 +55,7 @@ def test_floodmax_elects_max_id(dual):
 
 def test_floodmax_on_unreliable_network():
     rng = RandomSource(2)
-    dual = with_arbitrary_unreliable(line_graph(12), 8, rng.child("t"))
+    dual = with_arbitrary_unreliable(line_network(12), 8, rng.child("t"))
     run = run_protocol(
         dual,
         lambda _: FloodMaxNode(),
@@ -68,14 +67,9 @@ def test_floodmax_on_unreliable_network():
 
 
 def test_floodmax_per_component_leaders():
-    import networkx as nx
-
     from repro.topology import DualGraph
 
-    g = nx.Graph()
-    g.add_nodes_from(range(7))
-    g.add_edges_from([(0, 1), (1, 2), (4, 5), (5, 6)])
-    dual = DualGraph(g, g.copy())
+    dual = DualGraph(7, [(0, 1), (1, 2), (4, 5), (5, 6)])
     rng = RandomSource(3)
     run = run_protocol(
         dual, lambda _: FloodMaxNode(), UniformDelayScheduler(rng), FACK, FPROG
@@ -168,14 +162,9 @@ def test_consensus_decision_is_max_id_value():
 
 
 def test_consensus_per_component():
-    import networkx as nx
-
     from repro.topology import DualGraph
 
-    g = nx.Graph()
-    g.add_nodes_from(range(6))
-    g.add_edges_from([(0, 1), (1, 2), (3, 4), (4, 5)])
-    dual = DualGraph(g, g.copy())
+    dual = DualGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     rng = RandomSource(9)
     run = run_protocol(
         dual,

@@ -234,7 +234,7 @@ def test_api_exposes_neighbor_partitions():
     sim = Simulator()
     from repro.topology import DualGraph
 
-    dual = DualGraph.from_edges(3, [(0, 1)], [(0, 2)])
+    dual = DualGraph(3, [(0, 1)], [(0, 2)])
     mac = StandardMACLayer(sim, dual, ManualScheduler(), fack=10.0, fprog=1.0)
     seen = {}
 

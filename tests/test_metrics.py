@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.sim.rng import RandomSource
 from repro.topology import line_network, with_r_restricted_unreliable
-from repro.topology.generators import line_graph
 from repro.topology.metrics import minimum_fack_for_contention, summarize
 
 
@@ -21,7 +20,7 @@ def test_summarize_reliable_line():
 
 def test_summarize_r_restricted():
     rng = RandomSource(2)
-    dual = with_r_restricted_unreliable(line_graph(12), r=3, probability=1.0, rng=rng)
+    dual = with_r_restricted_unreliable(line_network(12), r=3, probability=1.0, rng=rng)
     s = summarize(dual)
     assert s.restriction_radius == 3
     assert s.unreliable_edges > 0
@@ -38,5 +37,5 @@ def test_minimum_fack_scales_with_degree():
     line = line_network(6)
     assert minimum_fack_for_contention(line, fprog=1.0) == 3.0
     rng = RandomSource(2)
-    dense = with_r_restricted_unreliable(line_graph(6), 3, 1.0, rng)
+    dense = with_r_restricted_unreliable(line_network(6), 3, 1.0, rng)
     assert minimum_fack_for_contention(dense, 1.0) > 3.0

@@ -62,13 +62,9 @@ def test_mis_on_star_is_hub_or_all_leaves():
 
 
 def test_mis_on_single_node():
-    import networkx as nx
+    from repro.topology import DualGraph
 
-    from repro.topology import reliable_only
-
-    g = nx.Graph()
-    g.add_node(0)
-    dual = reliable_only(g)
+    dual = DualGraph(1, [])
     result = run_mis(dual, seed=0)
     assert result.mis == frozenset({0})
 

@@ -20,16 +20,16 @@ def test_overlay_edges_are_pairs_within_three_hops():
     dual = line_network(13)
     mis = frozenset({0, 3, 6, 9, 12})
     overlay = build_overlay(dual, mis)
-    assert overlay.has_edge(0, 3)
-    assert overlay.has_edge(3, 6)
-    assert not overlay.has_edge(0, 6)  # 6 hops apart in G
+    assert 3 in overlay[0] and 0 in overlay[3]
+    assert 6 in overlay[3]
+    assert 6 not in overlay[0]  # 6 hops apart in G
 
 
 def test_overlay_nodes_are_exactly_the_mis():
     dual = line_network(7)
     mis = frozenset({0, 2, 4, 6})
     overlay = build_overlay(dual, mis)
-    assert set(overlay.nodes) == set(mis)
+    assert set(overlay) == set(mis)
 
 
 def test_overlay_connected_for_valid_mis():

@@ -23,8 +23,7 @@ from repro.mac.schedulers import (
 from repro.runtime.runner import run_standard
 from repro.sim import Simulator
 from repro.sim.rng import RandomSource
-from repro.topology import DualGraph, with_r_restricted_unreliable
-from repro.topology.generators import line_graph
+from repro.topology import DualGraph, line_network, with_r_restricted_unreliable
 
 FACK = 12.0
 FPROG = 1.0
@@ -71,7 +70,7 @@ def random_dual(draw):
         if extra_candidates
         else []
     )
-    return DualGraph.from_edges(n, reliable, extra)
+    return DualGraph(n, reliable, extra)
 
 
 @given(random_dual())
@@ -99,17 +98,6 @@ def test_restriction_radius_is_consistent(dual):
             assert not dual.is_r_restricted(radius - 1)
 
 
-@given(random_dual(), st.integers(min_value=1, max_value=4))
-@settings(max_examples=40, deadline=None)
-def test_power_graph_contains_g_and_grows(dual, r):
-    power = dual.power_graph(r)
-    for u, v in dual.reliable_graph.edges:
-        assert power.has_edge(u, v)
-    if r > 1:
-        smaller = dual.power_graph(r - 1)
-        assert set(smaller.edges) <= set(power.edges)
-
-
 # ----------------------------------------------------------------------
 # BMMB end-to-end properties
 # ----------------------------------------------------------------------
@@ -124,7 +112,7 @@ def test_power_graph_contains_g_and_grows(dual, r):
 def test_bmmb_always_solves_and_is_axiom_clean(n, k, r, seed, scheduler_kind):
     rng = RandomSource(seed, "prop")
     dual = with_r_restricted_unreliable(
-        line_graph(n), r=r, probability=0.4, rng=rng.child("topo")
+        line_network(n), r=r, probability=0.4, rng=rng.child("topo")
     )
     schedulers = {
         "uniform": lambda: UniformDelayScheduler(rng.child("s"), p_unreliable=0.6),

@@ -177,7 +177,7 @@ def _grey_dual_graphs(draw):
     )
     reliable = [e for e, kind in zip(pairs, kinds) if kind == "r"]
     grey = [e for e, kind in zip(pairs, kinds) if kind == "g"]
-    return DualGraph.from_edges(n, reliable, grey), grey
+    return DualGraph(n, reliable, grey), grey
 
 
 @given(
@@ -306,7 +306,7 @@ def test_ack_bound_boundary_is_respected(ack_latency):
 def test_progress_boundary_single_instance(delay):
     """With one lonely instance, the receiver's first rcv at ``delay`` is a
     progress violation iff ``delay > Fprog`` (strictly, within tolerance)."""
-    dual = DualGraph.from_edges(2, [(0, 1)], [])
+    dual = DualGraph(2, [(0, 1)], [])
     log = InstanceLog()
     inst = log.new_instance(0, "m", 0.0)
     inst.rcv_times[1] = delay

@@ -45,7 +45,7 @@ def test_transmitters_do_not_receive():
 
 
 def test_unreliable_edges_fade_per_slot():
-    dual = DualGraph.from_edges(3, [(1, 2)], [(0, 2)])  # 0—2 unreliable
+    dual = DualGraph(3, [(1, 2)], [(0, 2)])  # 0—2 unreliable
     radio = SlottedRadioNetwork(dual, RandomSource(1), p_unreliable_live=0.5)
     outcomes = [bool(radio.run_slot({0: "x"}).get(2)) for _ in range(300)]
     rate = sum(outcomes) / len(outcomes)
@@ -54,7 +54,7 @@ def test_unreliable_edges_fade_per_slot():
 
 def test_unreliable_fade_can_break_or_cause_collisions():
     # 1 transmits reliably to 2; 0's unreliable signal sometimes collides.
-    dual = DualGraph.from_edges(3, [(1, 2)], [(0, 2)])
+    dual = DualGraph(3, [(1, 2)], [(0, 2)])
     radio = SlottedRadioNetwork(dual, RandomSource(1), p_unreliable_live=0.5)
     got = [radio.run_slot({0: "a", 1: "b"}).get(2) for _ in range(300)]
     received = [g for g in got if g is not None]

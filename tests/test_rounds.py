@@ -50,7 +50,7 @@ def test_broadcasters_do_not_receive():
 
 def test_delivered_message_comes_from_a_gprime_broadcaster():
     rng = RandomSource(1)
-    dual = DualGraph.from_edges(4, [(0, 1), (2, 3)], [(0, 2)])
+    dual = DualGraph(4, [(0, 1), (2, 3)], [(0, 2)])
     sched = RandomRoundScheduler(rng)
     for r in range(100):
         received = sched.deliveries(r, {0: "x", 3: "y"}, dual)
@@ -62,7 +62,7 @@ def test_delivered_message_comes_from_a_gprime_broadcaster():
 
 def test_unreliable_only_delivery_is_probabilistic():
     rng = RandomSource(1)
-    dual = DualGraph.from_edges(3, [(1, 2)], [(0, 2)])  # 0—2 unreliable only
+    dual = DualGraph(3, [(1, 2)], [(0, 2)])  # 0—2 unreliable only
     sched = RandomRoundScheduler(rng, p_unreliable_only=0.5)
     outcomes = [bool(sched.deliveries(r, {0: "x"}, dual).get(2)) for r in range(300)]
     rate = sum(outcomes) / len(outcomes)
@@ -71,7 +71,7 @@ def test_unreliable_only_delivery_is_probabilistic():
 
 def test_unreliable_only_delivery_can_be_disabled():
     rng = RandomSource(1)
-    dual = DualGraph.from_edges(3, [(1, 2)], [(0, 2)])
+    dual = DualGraph(3, [(1, 2)], [(0, 2)])
     sched = RandomRoundScheduler(rng, p_unreliable_only=0.0)
     for r in range(50):
         assert not sched.deliveries(r, {0: "x"}, dual).get(2)
@@ -91,7 +91,7 @@ def test_random_scheduler_choice_is_roughly_uniform():
 
 def test_adversarial_scheduler_prefers_unreliable_senders():
     rng = RandomSource(1)
-    dual = DualGraph.from_edges(4, [(0, 1), (2, 3)], [(1, 3)])
+    dual = DualGraph(4, [(0, 1), (2, 3)], [(1, 3)])
     sched = AdversarialRoundScheduler(rng)
     # Node 1 hears G-neighbor 0 and unreliable-only neighbor 3; the
     # adversary always picks 3.

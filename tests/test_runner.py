@@ -129,7 +129,7 @@ def test_missing_deliveries_reports_gap_on_truncated_run():
 def _two_components() -> DualGraph:
     # G has components {0, 1, 2} and {3, 4}; the grey edge 2-3 joins them
     # in G' only, so it creates no delivery obligation.
-    return DualGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)], [(2, 3)])
+    return DualGraph(5, [(0, 1), (1, 2), (3, 4)], [(2, 3)])
 
 
 def test_mmb_outcome_missing_delivery_leaves_message_unsolved():

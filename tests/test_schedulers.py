@@ -23,7 +23,6 @@ from repro.topology.adversarial import (
     combined_lower_bound_network,
     parallel_lines_network,
 )
-from repro.topology.generators import line_graph
 
 from tests.conftest import FACK, FPROG, run_bmmb, single_source
 
@@ -39,7 +38,7 @@ from tests.conftest import FACK, FPROG, run_bmmb, single_source
 )
 def test_every_scheduler_produces_axiom_clean_executions(make_scheduler):
     rng = RandomSource(77)
-    dual = with_arbitrary_unreliable(line_graph(12), 6, rng.child("topo"))
+    dual = with_arbitrary_unreliable(line_network(12), 6, rng.child("topo"))
     result = run_bmmb(dual, single_source(4), make_scheduler(rng.child("sched")))
     assert result.solved
     report = check_axioms(result.instances, dual, FACK, FPROG)
@@ -57,7 +56,7 @@ def test_uniform_delivers_within_fprog():
 
 def test_uniform_p_unreliable_zero_never_uses_grey_links():
     rng = RandomSource(3)
-    dual = with_arbitrary_unreliable(line_graph(10), 8, rng.child("t"))
+    dual = with_arbitrary_unreliable(line_network(10), 8, rng.child("t"))
     result = run_bmmb(
         dual, single_source(2), UniformDelayScheduler(rng.child("s"), p_unreliable=0.0)
     )
@@ -68,7 +67,7 @@ def test_uniform_p_unreliable_zero_never_uses_grey_links():
 
 def test_uniform_p_unreliable_one_always_uses_grey_links():
     rng = RandomSource(3)
-    dual = with_arbitrary_unreliable(line_graph(10), 8, rng.child("t"))
+    dual = with_arbitrary_unreliable(line_network(10), 8, rng.child("t"))
     result = run_bmmb(
         dual, single_source(1), UniformDelayScheduler(rng.child("s"), p_unreliable=1.0)
     )
@@ -275,7 +274,7 @@ def _worstcase_runs(draw):
     # A line of n nodes leaves (n-1)(n-2)/2 pairs for grey edges.
     grey = draw(st.integers(min_value=0, max_value=(n - 1) * (n - 2) // 2))
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    dual = with_arbitrary_unreliable(line_graph(n), grey, RandomSource(seed, "t"))
+    dual = with_arbitrary_unreliable(line_network(n), grey, RandomSource(seed, "t"))
     nodes = st.integers(min_value=0, max_value=n - 1)
     sources = draw(st.lists(nodes, min_size=1, max_size=4))
     assignment = MessageAssignment(

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.errors import TopologyError
 from repro.sim.rng import RandomSource
-from repro.topology import random_geometric_network, with_r_restricted_unreliable
+from repro.topology import (
+    line_network,
+    random_geometric_network,
+    with_r_restricted_unreliable,
+)
 from repro.topology.adversarial import parallel_lines_network
-from repro.topology.generators import line_graph
 from repro.topology.serialization import from_dict, load, save, to_dict
 
 
 def test_round_trip_plain_network():
     rng = RandomSource(1)
-    dual = with_r_restricted_unreliable(line_graph(10), 3, 0.5, rng)
+    dual = with_r_restricted_unreliable(line_network(10), 3, 0.5, rng)
     rebuilt = from_dict(to_dict(dual))
     assert rebuilt.n == dual.n
-    assert set(rebuilt.reliable_graph.edges) == set(dual.reliable_graph.edges)
-    assert set(rebuilt.unreliable_graph.edges) == set(dual.unreliable_graph.edges)
+    assert rebuilt.reliable_edges == dual.reliable_edges
+    assert rebuilt.unreliable_extra_edges == dual.unreliable_extra_edges
     assert rebuilt.positions is None
 
 
@@ -40,11 +45,11 @@ def test_round_trip_figure2_network():
 
 def test_file_round_trip(tmp_path):
     rng = RandomSource(3)
-    dual = with_r_restricted_unreliable(line_graph(8), 2, 0.7, rng)
+    dual = with_r_restricted_unreliable(line_network(8), 2, 0.7, rng)
     path = tmp_path / "net.json"
     save(dual, path)
     loaded = load(path)
-    assert set(loaded.unreliable_graph.edges) == set(dual.unreliable_graph.edges)
+    assert loaded.unreliable_extra_edges == dual.unreliable_extra_edges
 
 
 def test_from_dict_rejects_unknown_schema():
@@ -62,3 +67,20 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{")
     with pytest.raises(TopologyError, match="invalid topology JSON"):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "field, edges, message",
+    [
+        ("unreliable_extra_edges", [[0, 1], [1, 3]], "(1, 3) has an endpoint"),
+        ("reliable_edges", [[0, 1], [1, 99]], "(1, 99) has an endpoint"),
+        ("reliable_edges", [[0, 1], [1, 1]], "reliable self-loop (1, 1)"),
+        ("unreliable_extra_edges", [[0, 1, 2]], "not a node pair"),
+    ],
+    ids=["extra-out-of-range", "reliable-out-of-range", "self-loop", "triple"],
+)
+def test_from_dict_names_the_bad_edge(field, edges, message):
+    record = to_dict(line_network(3))
+    record[field] = edges
+    with pytest.raises(TopologyError, match=re.escape(message)):
+        from_dict(record)

@@ -121,14 +121,9 @@ def test_broadcast_schedule_rejects_unknown_source():
 
 
 def test_cds_on_disconnected_graph():
-    import networkx as nx
-
     from repro.topology import DualGraph
 
-    g = nx.Graph()
-    g.add_nodes_from(range(8))
-    g.add_edges_from([(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)])
-    dual = DualGraph(g, g.copy())
+    dual = DualGraph(8, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)])
     backbone = make_backbone(dual)
     validate_cds(dual, backbone)
     # Node 4 is isolated: it must be in the backbone itself.

@@ -25,7 +25,6 @@ from repro.topology import (
     random_geometric_network,
     with_arbitrary_unreliable,
 )
-from repro.topology.generators import line_graph
 
 FACK = 20.0
 FPROG = 1.0
@@ -36,7 +35,7 @@ FPROG = 1.0
 # ----------------------------------------------------------------------
 def test_delivers_are_unique_and_only_for_injected_messages():
     rng = RandomSource(1)
-    dual = with_arbitrary_unreliable(line_graph(10), 8, rng.child("t"))
+    dual = with_arbitrary_unreliable(line_network(10), 8, rng.child("t"))
     assignment = MessageAssignment.one_each([0, 4, 9])
     result = run_standard(
         dual,
