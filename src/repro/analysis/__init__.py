@@ -12,17 +12,22 @@ measured completion times against those bounds:
 * :mod:`~repro.analysis.stats` — small summary-statistics helpers.
 """
 
-from repro.analysis.bounds import (
-    bmmb_arbitrary_bound,
-    bmmb_gg_bound,
-    bmmb_r_restricted_bound,
-    choke_lower_bound,
-    figure2_lower_bound,
-    fmmb_bound_rounds,
-    fmmb_bound_time,
-)
-from repro.analysis.fitting import linear_fit
-from repro.analysis.tables import render_table
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.analysis.bounds": (
+        "bmmb_arbitrary_bound",
+        "bmmb_gg_bound",
+        "bmmb_r_restricted_bound",
+        "choke_lower_bound",
+        "figure2_lower_bound",
+        "fmmb_bound_rounds",
+        "fmmb_bound_time",
+    ),
+    "repro.analysis.fitting": ("linear_fit",),
+    "repro.analysis.tables": ("render_table",),
+}
 
 __all__ = [
     "bmmb_gg_bound",
@@ -35,3 +40,5 @@ __all__ = [
     "linear_fit",
     "render_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -7,9 +7,12 @@ with unit constants, which is what the campaign checks compare scaling against.
 
 from __future__ import annotations
 
-from repro.core.fmmb.config import log2n
 from repro.errors import ExperimentError
-from repro.ids import Time
+from repro.ids import Time, log2n
+
+#: The grey-zone constant FMMB assumes unless a spec sets ``c`` (the
+#: default of :attr:`repro.core.fmmb.config.FMMBConfig.c`).
+FMMB_C = 1.6
 
 
 def _require(condition: bool, message: str) -> None:
@@ -77,7 +80,7 @@ def combined_lower_bound(depth: int, k: int, fack: Time) -> Time:
     return max(depth - 1, k - 2) * fack
 
 
-def fmmb_bound_rounds(diameter: int, k: int, n: int, c: float = 1.6) -> float:
+def fmmb_bound_rounds(diameter: int, k: int, n: int, c: float = FMMB_C) -> float:
     """Theorem 4.1's round count shape (unit constants).
 
     ``D·log n + k·log n + log³ n`` — the ``c`` factors (``c²`` on the log
@@ -90,7 +93,7 @@ def fmmb_bound_rounds(diameter: int, k: int, n: int, c: float = 1.6) -> float:
 
 
 def fmmb_bound_time(
-    diameter: int, k: int, n: int, fprog: Time, c: float = 1.6
+    diameter: int, k: int, n: int, fprog: Time, c: float = FMMB_C
 ) -> Time:
     """Theorem 4.1's time bound shape: rounds × ``Fprog`` (no ``Fack``!)."""
     return fmmb_bound_rounds(diameter, k, n, c) * fprog

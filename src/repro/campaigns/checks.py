@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.bounds import (
+    FMMB_C,
     bmmb_arbitrary_bound,
     bmmb_gg_bound,
     bmmb_r_restricted_bound,
@@ -45,7 +46,6 @@ from repro.analysis.bounds import (
     fmmb_bound_time,
 )
 from repro.analysis.fitting import linear_fit
-from repro.core.fmmb.config import FMMBConfig
 from repro.errors import ExperimentError
 from repro.experiments.registries import Registry
 from repro.experiments.runner import ExperimentResult
@@ -203,7 +203,7 @@ def _bound_fmmb_rounds(spec: ExperimentSpec, facts: Facts | None) -> float:
         workload_k(spec),
         int(path_value(spec, "topology.n")),
         spec.model.fprog,
-        c=spec.algorithm.params.get("c", FMMBConfig.c),
+        c=spec.algorithm.params.get("c", FMMB_C),
     )
 
 

@@ -21,8 +21,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.campaigns.chaos import ChaosSpec
 from repro.errors import ExperimentError
-from repro.experiments.runner import RunOptions
-from repro.experiments.specs import ExperimentSpec
+from repro.experiments.specs import ExperimentSpec, RunOptions
 from repro.experiments.sweep import Sweep, with_path
 
 #: Result fields a figure series may plot (besides ``metric:<key>``).
@@ -59,7 +58,7 @@ class SweepDirective:
             store alongside its summary (see :mod:`repro.runtime.journal`)
             so trace-level checks can read the streams post-hoc.  Cached
             points missing their journal re-run.
-        options: Per-point :class:`~repro.experiments.runner.RunOptions`
+        options: Per-point :class:`~repro.experiments.specs.RunOptions`
             override (e.g. windowed capture for long service sweeps).
             Execution policy, not provenance — like ``CampaignSpec.chaos``
             it is excluded from equality and serialization, so it never

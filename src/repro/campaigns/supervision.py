@@ -55,9 +55,9 @@ from repro.campaigns.chaos import (
 )
 from repro.campaigns.store import ResultStore, encode_journal, spec_key
 from repro.errors import ExperimentError
-from repro.experiments.runner import ExperimentResult, RunOptions
-from repro.experiments.specs import ExperimentSpec
-from repro.experiments.substrates import Facts, topology_facts
+from repro.experiments.runner import ExperimentResult
+from repro.experiments.specs import ExperimentSpec, RunOptions
+from repro.experiments.substrates import Facts, load_engines, topology_facts
 from repro.experiments.sweep import _run_with_options
 from repro.store.backend import StoreError
 from repro.store.retry import deterministic_backoff
@@ -215,7 +215,7 @@ class FabricJob:
     checkpoint (so it needs a store): the worker encodes the journal
     and ships its bytes, never the stream; ``options`` overrides the
     per-point capture entirely (a
-    :class:`~repro.experiments.runner.RunOptions` from the sweep
+    :class:`~repro.experiments.specs.RunOptions` from the sweep
     directive) — ``None`` derives it from ``journaled``.
     ``record_facts`` asks the worker for the point's
     :func:`~repro.experiments.substrates.topology_facts`, which the
@@ -659,4 +659,7 @@ def run_supervised(
             f"chaos needs {needed} retries per point but the fabric allows"
             f" {config.max_retries}; raise --retries or lower chaos times"
         )
+    # Workers fork from this process: load the engines once, here, so no
+    # worker imports them again on every pass.
+    load_engines(job.spec.substrate for job in jobs)
     return _Supervisor(jobs, store, config, tuple(chaos)).run()

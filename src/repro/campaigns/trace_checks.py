@@ -39,7 +39,6 @@ from repro.errors import ExperimentError
 from repro.experiments.registries import Registry
 from repro.experiments.specs import ExperimentSpec
 from repro.experiments.substrates import materialize_topology
-from repro.mac.axioms import check_axioms
 from repro.runtime.observations import Observation, instance_log
 
 TRACE_CHECKS = Registry("trace check")
@@ -138,6 +137,8 @@ def _mac_axioms(
         return [str(exc)]
     if not len(log):
         return ["journal carries no MAC events to certify"]
+    from repro.mac.axioms import check_axioms
+
     dual = materialize_topology(spec)
     report = check_axioms(
         log,

@@ -52,41 +52,29 @@ import json
 import math
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from repro.analysis.bounds import fmmb_bound_rounds
 from repro.analysis.tables import render_table
 from repro.errors import ExperimentError
-from repro.experiments import (
-    ALGORITHMS,
-    FAULTS,
-    MACS,
-    SCHEDULERS,
-    SUBSTRATES,
-    TOPOLOGIES,
-    WORKLOADS,
-    AlgorithmSpec,
-    ExperimentResult,
-    ExperimentSpec,
-    FaultSpec,
-    ModelSpec,
-    RunOptions,
-    SchedulerSpec,
-    Sweep,
-    TopologySpec,
-    WorkloadSpec,
-    materialize_topology,
-    run,
-    run_sweep,
-)
 from repro.experiments.overrides import (
     parse_assignments,
     parse_axes,
     parse_kind_params,
 )
-from repro.experiments.substrates import topology_facts
-from repro.topology.metrics import summarize
-from repro.traffic import ARRIVALS
+from repro.experiments.registries import FAULTS, SCHEDULERS
+from repro.experiments.specs import (
+    AlgorithmSpec,
+    ExperimentSpec,
+    FaultSpec,
+    ModelSpec,
+    RunOptions,
+    SchedulerSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentResult
 
 
 def _topology_spec(args: argparse.Namespace) -> TopologySpec:
@@ -102,16 +90,27 @@ def _topology_spec(args: argparse.Namespace) -> TopologySpec:
     )
 
 
-_REGISTRIES = (
-    ("topology", TOPOLOGIES),
-    ("scheduler", SCHEDULERS),
-    ("algorithm", ALGORITHMS),
-    ("mac", MACS),
-    ("workload", WORKLOADS),
-    ("arrival", ARRIVALS),
-    ("fault", FAULTS),
-    ("substrate", SUBSTRATES),
-)
+def _registries() -> tuple:
+    """Every registry ``info`` and ``registry`` list, labelled."""
+    from repro.experiments import (
+        ALGORITHMS,
+        MACS,
+        SUBSTRATES,
+        TOPOLOGIES,
+        WORKLOADS,
+    )
+    from repro.traffic import ARRIVALS
+
+    return (
+        ("topology", TOPOLOGIES),
+        ("scheduler", SCHEDULERS),
+        ("algorithm", ALGORITHMS),
+        ("mac", MACS),
+        ("workload", WORKLOADS),
+        ("arrival", ARRIVALS),
+        ("fault", FAULTS),
+        ("substrate", SUBSTRATES),
+    )
 
 
 def _substrate_capabilities(substrate) -> str:
@@ -155,7 +154,7 @@ def _parse_fault(text: str | None) -> FaultSpec:
 def _registry_rows() -> list[dict[str, object]]:
     return [
         {"registry": label, "entries": ", ".join(registry.names())}
-        for label, registry in _REGISTRIES
+        for label, registry in _registries()
     ]
 
 
@@ -163,6 +162,9 @@ def _registry_rows() -> list[dict[str, object]]:
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.experiments import materialize_topology
+    from repro.topology.metrics import summarize
+
     spec = ExperimentSpec(topology=_topology_spec(args), seed=args.seed)
     dual = materialize_topology(spec)
     print(render_table([summarize(dual).as_dict()], title="topology summary"))
@@ -173,7 +175,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_registry(args: argparse.Namespace) -> int:
     rows = []
-    for label, registry in _REGISTRIES:
+    for label, registry in _registries():
         for name in registry.names():
             row: dict[str, object] = {"registry": label, "name": name}
             if label == "algorithm":
@@ -214,6 +216,8 @@ class _Preset(NamedTuple):
 
 def cmd_run(args: argparse.Namespace) -> int:
     """The one body of ``bmmb``, ``fmmb``, ``lowerbound`` and ``radio``."""
+    from repro.experiments import run
+
     preset: _Preset = args.preset
     result = run(preset.spec(args), preset.options)
     row = {"solved": result.solved, **preset.columns(args, result)}
@@ -254,6 +258,9 @@ def _fmmb_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _fmmb_columns(args, result) -> dict[str, object]:
+    from repro.analysis.bounds import fmmb_bound_rounds
+    from repro.experiments.substrates import topology_facts
+
     # Theorem 4.1's round count with unit constants (the campaigns'
     # fmmb_rounds bound is a multiple of it, in time units).
     diameter = topology_facts(result.spec)["diameter"]
@@ -395,6 +402,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # spec construction itself (ExperimentSpec.validate); the resulting
     # ExperimentError lists the registered names and main() converts it
     # to exit status 2.
+    from repro.experiments import Sweep, run_sweep
+
     base = _bmmb_spec(args)
     axes = parse_axes(args.param, flag="--param")
     journal_dir = getattr(args, "journal_dir", None)
@@ -877,13 +886,26 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fprog", type=float, default=1.0, help="Fprog bound")
 
 
+class _Keys:
+    """A registry's keys in help text, read only when help is printed."""
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+
+    def __str__(self) -> str:
+        return ", ".join(self.registry.names())
+
+
 def _add_fault_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    action = parser.add_argument(
         "--fault",
         metavar="KIND[:P=V,...]",
         help="inject a fault scenario, e.g. --fault crash_random:fraction=0.2 "
-        f"(registered: {', '.join(FAULTS.names())})",
+        "(registered: %(registered)s)",
     )
+    # Reading the registry imports the fault scenarios, which a command
+    # that builds the parser but runs no spec does not need.
+    action.registered = _Keys(FAULTS)
 
 
 def _add_bmmb_options(parser: argparse.ArgumentParser) -> None:

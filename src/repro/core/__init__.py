@@ -9,7 +9,14 @@
   that quantify the value of BMMB's pipelining.
 """
 
-from repro.core.bmmb import BMMBNode
-from repro.core.baselines import SequentialFloodingCoordinator
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.core.bmmb": ("BMMBNode",),
+    "repro.core.baselines": ("SequentialFloodingCoordinator",),
+}
 
 __all__ = ["BMMBNode", "SequentialFloodingCoordinator"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -21,11 +21,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-
-
-def log2n(n: int) -> float:
-    """``log₂ n`` clamped below at 1 (keeps small-n budgets positive)."""
-    return max(1.0, math.log2(max(n, 2)))
+from repro.ids import log2n
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 This subsystem is the single way to describe and run executions:
 
 * :mod:`~repro.experiments.specs` — frozen, JSON-round-trippable
-  descriptions (:class:`ExperimentSpec` and its component specs);
+  descriptions (:class:`ExperimentSpec` and its component specs) and
+  the capture options of a run (:class:`RunOptions`);
 * :mod:`~repro.experiments.registries` — string-keyed registries of
   topologies, schedulers, algorithms, MAC layers, workloads, and fault
   scenarios, populated with everything the package ships and open to
@@ -33,69 +34,73 @@ Example::
         seed=7,
     )
     result = run(spec)
+
+Every name below is imported from its defining module when it is first
+read (PEP 562), and building, validating and expanding specs loads no
+engine: registry builders and substrates import their implementation
+when they run, and the fault and workload registries import the modules
+that register into them (:mod:`repro.faults.scenarios`,
+:mod:`repro.traffic.arrivals`) when first read.
 """
 
-from repro.experiments.registries import (
-    ALGORITHMS,
-    FAULTS,
-    MACS,
-    SCHEDULERS,
-    TOPOLOGIES,
-    WORKLOADS,
-    AlgorithmEntry,
-    Registry,
-    list_algorithms,
-    list_faults,
-    list_macs,
-    list_schedulers,
-    list_topologies,
-    list_workloads,
-    register_algorithm,
-    register_fault,
-    register_mac,
-    register_scheduler,
-    register_topology,
-    register_workload,
-)
-from repro.experiments.runner import (
-    ExperimentResult,
-    RunOptions,
-    run,
-)
-from repro.experiments.specs import (
-    BUILTIN_SUBSTRATES,
-    AlgorithmSpec,
-    ExperimentSpec,
-    FaultSpec,
-    ModelSpec,
-    SchedulerSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
-from repro.experiments.substrates import (
-    SUBSTRATES,
-    Execution,
-    ExecutionContext,
-    Outcome,
-    RadioRun,
-    Substrate,
-    SubstrateBase,
-    get_substrate,
-    list_substrates,
-    materialize_fault_engine,
-    materialize_topology,
-    materialize_workload,
-    register_substrate,
-    smoke_spec,
-    substrate_smoke,
-)
-from repro.experiments.sweep import Sweep, SweepResult, run_sweep
-from repro.runtime.observations import Observation, Probe
+from repro._lazy import lazy_exports
 
-# Imported for its registration side effects: repro.traffic registers the
-# arrival processes and the "open_arrivals" workload kind, so any importer
-# of this package (CLI, sweep workers, spec unpickling) sees them.
-import repro.traffic  # noqa: E402  (must follow the registries above)
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.experiments.specs": (
+        "BUILTIN_SUBSTRATES",
+        "AlgorithmSpec",
+        "ExperimentSpec",
+        "FaultSpec",
+        "ModelSpec",
+        "RunOptions",
+        "SchedulerSpec",
+        "TopologySpec",
+        "WorkloadSpec",
+    ),
+    "repro.experiments.registries": (
+        "ALGORITHMS",
+        "FAULTS",
+        "MACS",
+        "SCHEDULERS",
+        "TOPOLOGIES",
+        "WORKLOADS",
+        "AlgorithmEntry",
+        "Registry",
+        "list_algorithms",
+        "list_faults",
+        "list_macs",
+        "list_schedulers",
+        "list_topologies",
+        "list_workloads",
+        "register_algorithm",
+        "register_fault",
+        "register_mac",
+        "register_scheduler",
+        "register_topology",
+        "register_workload",
+    ),
+    "repro.experiments.runner": ("ExperimentResult", "run"),
+    "repro.experiments.substrates": (
+        "SUBSTRATES",
+        "Execution",
+        "ExecutionContext",
+        "Outcome",
+        "RadioRun",
+        "Substrate",
+        "SubstrateBase",
+        "get_substrate",
+        "list_substrates",
+        "materialize_fault_engine",
+        "materialize_topology",
+        "materialize_workload",
+        "register_substrate",
+        "smoke_spec",
+        "substrate_smoke",
+    ),
+    "repro.experiments.sweep": ("Sweep", "SweepResult", "run_sweep"),
+    "repro.runtime.observations": ("Observation", "Probe"),
+}
 
 __all__ = [
     # specs
@@ -156,3 +161,5 @@ __all__ = [
     "SweepResult",
     "run_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -24,50 +24,51 @@ Builder conventions:
 Execution engines have their own registry in
 :mod:`repro.experiments.substrates` (``@register_substrate``); this module
 stays limited to the components a substrate assembles.
+
+Declaring the built-ins loads none of them: each builder imports its
+implementation when it is called, a MAC entry names its class by module
+and attribute (:meth:`Registry.defer`), and the fault scenarios and the
+``open_arrivals`` workload, which register themselves in their own
+modules, are imported the first time their registry is read.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
-from repro.core.baselines import RedundantFloodingNode
-from repro.core.bmmb import BMMBNode
-from repro.core.consensus import FloodConsensusNode, consensus_reached
-from repro.core.fmmb import FMMBConfig
-from repro.core.leader import FloodMaxNode, elected_correctly
-from repro.core.problem import ArrivalSchedule
 from repro.errors import ExperimentError
 from repro.ids import MessageAssignment
-from repro.mac.enhanced import EnhancedMACLayer
-from repro.mac.schedulers import (
-    ChokeAdversary,
-    ContentionScheduler,
-    GreyZoneAdversary,
-    UniformDelayScheduler,
-    WorstCaseAckScheduler,
-)
-from repro.mac.standard import StandardMACLayer
-from repro.radio import RadioMACLayer, sinr_mac_layer
-from repro.topology.generators import (
-    grid_network,
-    line_network,
-    ring_network,
-    star_network,
-    tree_network,
-    with_arbitrary_unreliable,
-    with_r_restricted_unreliable,
-)
-from repro.topology.adversarial import choke_star_network, parallel_lines_network
-from repro.topology.geometric import random_geometric_network
+
+
+class _Deferred(NamedTuple):
+    """A registry entry named by module and attribute, imported on use."""
+
+    module: str
+    attribute: str
 
 
 class Registry:
-    """A named map from string keys to builders, with helpful errors."""
+    """A named map from string keys to builders, with helpful errors.
 
-    def __init__(self, label: str):
+    ``providers`` are modules whose import registers entries here; they
+    are imported the first time the registry is read, so every read sees
+    them without the registry's own module importing them.
+    """
+
+    def __init__(self, label: str, providers: tuple[str, ...] = ()):
         self.label = label
         self._entries: dict[str, Any] = {}
+        self._providers = providers
+
+    def _complete(self) -> dict[str, Any]:
+        """The entries, after importing the providers (once)."""
+        if self._providers:
+            providers, self._providers = self._providers, ()
+            for module in providers:
+                importlib.import_module(module)
+        return self._entries
 
     def register(self, name: str) -> Callable[[Any], Any]:
         """Decorator: register the decorated object under ``name``."""
@@ -84,28 +85,37 @@ class Registry:
 
         return _decorator
 
+    def defer(self, name: str, module: str, attribute: str) -> None:
+        """Register ``module.attribute`` under ``name`` without importing
+        it; :meth:`get` imports it on first use."""
+        self.register(name)(_Deferred(module, attribute))
+
     def get(self, name: str) -> Any:
         """The entry for ``name``; raises with the known keys otherwise."""
         try:
-            return self._entries[name]
+            entry = self._complete()[name]
         except KeyError:
             known = ", ".join(self.names()) or "<empty>"
             raise ExperimentError(
                 f"unknown {self.label} {name!r}; registered: {known}"
             ) from None
+        if type(entry) is _Deferred:
+            entry = getattr(importlib.import_module(entry.module), entry.attribute)
+            self._entries[name] = entry
+        return entry
 
     def names(self) -> list[str]:
         """All registered keys, sorted."""
-        return sorted(self._entries)
+        return sorted(self._complete())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._complete()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._complete())
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,8 @@ TOPOLOGIES = Registry("topology")
 SCHEDULERS = Registry("scheduler")
 ALGORITHMS = Registry("algorithm")
 MACS = Registry("mac layer")
-WORKLOADS = Registry("workload")
-FAULTS = Registry("fault scenario")
+WORKLOADS = Registry("workload", providers=("repro.traffic.arrivals",))
+FAULTS = Registry("fault scenario", providers=("repro.faults.scenarios",))
 
 
 def register_topology(name: str):
@@ -220,26 +230,36 @@ def list_faults() -> list[str]:
 # ----------------------------------------------------------------------
 @register_topology("line")
 def _build_line(rng, n: int = 20):
+    from repro.topology.generators import line_network
+
     return line_network(n)
 
 
 @register_topology("ring")
 def _build_ring(rng, n: int = 20):
+    from repro.topology.generators import ring_network
+
     return ring_network(n)
 
 
 @register_topology("star")
 def _build_star(rng, n: int = 12):
+    from repro.topology.generators import star_network
+
     return star_network(n)
 
 
 @register_topology("grid")
 def _build_grid(rng, rows: int = 5, cols: int = 5):
+    from repro.topology.generators import grid_network
+
     return grid_network(rows, cols)
 
 
 @register_topology("tree")
 def _build_tree(rng, branching: int = 2, height: int = 4):
+    from repro.topology.generators import tree_network
+
     return tree_network(branching, height)
 
 
@@ -252,6 +272,8 @@ def _build_random_geometric(
     grey_edge_probability: float = 0.4,
     connect: bool = True,
 ):
+    from repro.topology.geometric import random_geometric_network
+
     return random_geometric_network(
         n,
         side=side,
@@ -266,6 +288,11 @@ def _build_random_geometric(
 def _build_r_restricted_line(
     rng, n: int = 20, r: int = 3, probability: float = 0.5
 ):
+    from repro.topology.generators import (
+        line_network,
+        with_r_restricted_unreliable,
+    )
+
     return with_r_restricted_unreliable(
         line_network(n), r=r, probability=probability, rng=rng
     )
@@ -273,16 +300,22 @@ def _build_r_restricted_line(
 
 @register_topology("arbitrary_line")
 def _build_arbitrary_line(rng, n: int = 20, extra_edges: int = 10):
+    from repro.topology.generators import line_network, with_arbitrary_unreliable
+
     return with_arbitrary_unreliable(line_network(n), extra_edges, rng=rng)
 
 
 @register_topology("parallel_lines")
 def _build_parallel_lines(rng, depth: int = 10):
+    from repro.topology.adversarial import parallel_lines_network
+
     return parallel_lines_network(depth).dual
 
 
 @register_topology("choke_star")
 def _build_choke_star(rng, k: int = 8, clique_sources: bool = True):
+    from repro.topology.adversarial import choke_star_network
+
     return choke_star_network(k, clique_sources=clique_sources).dual
 
 
@@ -297,6 +330,8 @@ def _build_uniform(
     ack_lag_fraction: float = 0.0,
     delay_floor: float = 0.0,
 ):
+    from repro.mac.schedulers.uniform import UniformDelayScheduler
+
     return UniformDelayScheduler(
         rng,
         p_unreliable=p_unreliable,
@@ -314,6 +349,8 @@ def _build_contention(
     deadline_fraction: float = 0.9,
     unreliable_service_bias: float = 0.25,
 ):
+    from repro.mac.schedulers.contention import ContentionScheduler
+
     return ContentionScheduler(
         rng,
         p_unreliable=p_unreliable,
@@ -327,6 +364,8 @@ def _build_contention(
 def _build_worstcase(
     rng, p_unreliable: float = 0.5, rcv_fraction: float = 0.9
 ):
+    from repro.mac.schedulers.worstcase import WorstCaseAckScheduler
+
     return WorstCaseAckScheduler(
         rng, p_unreliable=p_unreliable, rcv_fraction=rcv_fraction
     )
@@ -334,6 +373,8 @@ def _build_worstcase(
 
 @register_scheduler("choke")
 def _build_choke(rng, rcv_fraction: float = 0.9):
+    from repro.mac.schedulers.worstcase import ChokeAdversary
+
     return ChokeAdversary(rcv_fraction=rcv_fraction)
 
 
@@ -343,6 +384,9 @@ def _build_greyzone_adversary(rng, depth: int = 10, inject_fraction: float = 0.2
     # parallel-lines gadget; rebuilding the network here is deterministic,
     # so pairing this entry with the "parallel_lines" topology (same
     # depth) reproduces the Lemma 3.19/3.20 execution from a pure spec.
+    from repro.mac.schedulers.greyzone_adversary import GreyZoneAdversary
+    from repro.topology.adversarial import parallel_lines_network
+
     return GreyZoneAdversary(
         parallel_lines_network(depth), inject_fraction=inject_fraction
     )
@@ -353,40 +397,62 @@ def _build_greyzone_adversary(rng, depth: int = 10, inject_fraction: float = 0.2
 # ----------------------------------------------------------------------
 @register_algorithm("bmmb", substrates=("standard", "radio", "sinr"))
 def _build_bmmb():
+    from repro.core.bmmb import BMMBNode
+
     return lambda _node: BMMBNode()
 
 
 @register_algorithm("redundant_flooding", substrates=("standard",))
 def _build_redundant_flooding(redundancy: int = 2):
+    from repro.core.baselines import RedundantFloodingNode
+
     return lambda _node: RedundantFloodingNode(redundancy)
 
 
+def _elected_correctly(dual, automata) -> bool:
+    from repro.core.leader import elected_correctly
+
+    return elected_correctly(dual, automata)
+
+
+def _consensus_reached(dual, automata) -> bool:
+    from repro.core.consensus import consensus_reached
+
+    return consensus_reached(dual, automata)
+
+
 @register_algorithm(
-    "flood_max", substrates=("protocol",), postcondition=elected_correctly
+    "flood_max", substrates=("protocol",), postcondition=_elected_correctly
 )
 def _build_flood_max():
+    from repro.core.leader import FloodMaxNode
+
     return lambda _node: FloodMaxNode()
 
 
 @register_algorithm(
-    "flood_consensus", substrates=("protocol",), postcondition=consensus_reached
+    "flood_consensus", substrates=("protocol",), postcondition=_consensus_reached
 )
 def _build_flood_consensus(value_prefix: str = "v"):
+    from repro.core.consensus import FloodConsensusNode
+
     return lambda node: FloodConsensusNode(f"{value_prefix}{node}")
 
 
 @register_algorithm("fmmb", substrates=("rounds",))
 def _build_fmmb(**config):
+    from repro.core.fmmb.config import FMMBConfig
+
     return FMMBConfig(**config)
 
 
 # ----------------------------------------------------------------------
 # Built-in MAC layers
 # ----------------------------------------------------------------------
-register_mac("standard")(StandardMACLayer)
-register_mac("enhanced")(EnhancedMACLayer)
-register_mac("radio")(RadioMACLayer)
-register_mac("sinr")(sinr_mac_layer)
+MACS.defer("standard", "repro.mac.standard", "StandardMACLayer")
+MACS.defer("enhanced", "repro.mac.enhanced", "EnhancedMACLayer")
+MACS.defer("radio", "repro.radio.mac_adapter", "RadioMACLayer")
+MACS.defer("sinr", "repro.radio.sinr", "sinr_mac_layer")
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +483,8 @@ def _build_single_source(
 def _build_staggered(
     dual, rng, count: int = 4, spacing: float = 5.0, node=None, prefix: str = "m"
 ):
+    from repro.core.problem import ArrivalSchedule
+
     source = dual.nodes[0] if node is None else node
     return ArrivalSchedule.staggered(source, count, spacing, prefix)
 
@@ -425,6 +493,8 @@ def _build_staggered(
 def _build_poisson(
     dual, rng, count: int = 4, mean_gap: float = 5.0, prefix: str = "m"
 ):
+    from repro.core.problem import ArrivalSchedule
+
     return ArrivalSchedule.poisson(list(dual.nodes), count, mean_gap, rng, prefix)
 
 
@@ -433,4 +503,6 @@ def _build_parallel_lines_sources(dual, rng):
     # The canonical Figure 2 instance: m0 at the head of line A, m1 at the
     # head of line B.  The depth is implied by the dual graph itself, so
     # this workload needs no parameters and cannot drift from the topology.
+    from repro.topology.adversarial import parallel_lines_network
+
     return parallel_lines_network(dual.n // 2).assignment

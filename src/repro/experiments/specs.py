@@ -5,7 +5,8 @@ one execution: *what* network, *which* algorithm, *which* scheduler, under
 *which* model constants, on *which* substrate.  Specs name components by
 registry key (see :mod:`repro.experiments.registries`), so a spec contains
 no live objects — its JSON form can key a results store, ship to a worker
-process, and rebuild the spec bit-identically.
+process, and rebuild the spec bit-identically.  :class:`RunOptions` is the
+other half of a run's description: how its outcome is captured.
 
 Determinism contract: every random stream an execution uses is derived from
 ``spec.seed`` with :func:`repro.sim.rng.derive_seed`, so ``run(spec)`` run
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import abc
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ExperimentError
@@ -308,3 +310,70 @@ class ExperimentSpec:
     def from_json(cls, text: str) -> "ExperimentSpec":
         """Rebuild a spec from :meth:`to_json` output."""
         return cls.from_dict(json.loads(text))
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How one execution is captured — orthogonal to *what* runs.
+
+    The spec describes the experiment; ``RunOptions`` describes what the
+    caller wants back from it (raw handles, windowed folding, a persisted
+    journal).  Options never influence the execution's random streams or
+    outcome, so two runs of the same spec under different options compare
+    equal as :class:`~repro.experiments.runner.ExperimentResult` values.
+
+    Combination rules are validated at construction, not at ``run`` time,
+    so an invalid bundle fails where it is written:
+
+    * ``journal`` needs the raw stream and cannot be combined with
+      ``window`` (which folds the stream away);
+    * ``max_windows`` requires ``window``;
+    * ``window`` implies ``keep_raw=False`` — bounded memory is the point
+      of windowing, so the flag is normalized here rather than silently
+      at run time.
+
+    Attributes:
+        keep_raw: Retain the substrate's native result object in
+            ``result.raw`` and the typed observation stream in
+            ``result.observations``.  Disable for sweeps — summaries stay
+            small, picklable, and comparable across processes.
+        window: Fold observations into time-window aggregates of this
+            width instead of retaining the raw stream (long-horizon
+            service runs); surfaces the ``obs_*`` window gauges in
+            ``result.metrics``.
+        max_windows: Bound on retained window aggregates (oldest evicted
+            first); requires ``window``.
+        journal: Write the observation stream to this path as a
+            deterministic journal (see :mod:`repro.runtime.journal`).
+            The stream is captured for the journal even when
+            ``keep_raw=False`` (the returned summary stays stripped).
+    """
+
+    keep_raw: bool = True
+    window: float | None = None
+    max_windows: int | None = None
+    journal: str | Path | None = None
+
+    def __post_init__(self) -> None:
+        if self.window is not None:
+            if self.journal is not None:
+                raise ExperimentError(
+                    "journal capture needs the raw observation stream and "
+                    "cannot be combined with windowed folding (window=...)"
+                )
+            if self.keep_raw:
+                object.__setattr__(self, "keep_raw", False)
+        elif self.max_windows is not None:
+            raise ExperimentError(
+                "max_windows requires a window width (window=...)"
+            )
+
+    @classmethod
+    def summary(cls) -> "RunOptions":
+        """The sweep default: small, picklable summaries (no raw/stream)."""
+        return cls(keep_raw=False)
+
+    @classmethod
+    def observed(cls) -> "RunOptions":
+        """Keep the typed observation stream (journaling sweeps)."""
+        return cls(keep_raw=True)

@@ -77,12 +77,11 @@ the worked ``sinr`` example)::
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, runtime_checkable
 
-from repro.core.fmmb import run_fmmb
-from repro.core.problem import ArrivalSchedule
 from repro.errors import ExperimentError, MACError
 from repro.experiments.registries import (
     ALGORITHMS,
@@ -102,13 +101,14 @@ from repro.experiments.specs import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.faults.engine import FaultEngine
 from repro.ids import MessageAssignment
 from repro.runtime.observations import Observation, Probe
-from repro.runtime.runner import run_protocol, run_standard
-from repro.runtime.validate import MMBOutcome, mmb_outcome
 from repro.sim.rng import RandomSource
-from repro.topology.dualgraph import DualGraph
+
+if TYPE_CHECKING:
+    from repro.faults.engine import FaultEngine
+    from repro.runtime.validate import MMBOutcome
+    from repro.topology.dualgraph import DualGraph
 
 #: Name of the root stream every spec-driven execution derives from.
 ROOT_STREAM = "experiment"
@@ -225,11 +225,20 @@ def materialize_fault_engine(
             f"fault scenario {fault.kind!r} rejected params "
             f"{sorted(fault.params)}: {exc}"
         ) from exc
+    from repro.faults.engine import FaultEngine
+
     return FaultEngine(dual, plan)
 
 
+def _is_schedule(workload) -> bool:
+    """Whether a built workload carries timed arrivals."""
+    from repro.core.problem import ArrivalSchedule
+
+    return isinstance(workload, ArrivalSchedule)
+
+
 def _static_assignment(workload) -> MessageAssignment:
-    if isinstance(workload, ArrivalSchedule):
+    if _is_schedule(workload):
         return workload.as_assignment()
     return workload
 
@@ -358,7 +367,7 @@ class ExecutionContext:
     def time_zero_workload(self, substrate_name: str) -> MessageAssignment:
         """The workload, rejected if it carries timed arrivals."""
         workload = self.workload()
-        if isinstance(workload, ArrivalSchedule):
+        if _is_schedule(workload):
             kind = self.spec.workload.kind if self.spec.workload else None
             raise ExperimentError(_arrival_rejection(substrate_name, kind))
         return workload
@@ -376,7 +385,7 @@ class ExecutionContext:
     def observe_workload_arrivals(self) -> None:
         """Emit one ``arrival`` observation per environment input."""
         workload = self.workload()
-        if isinstance(workload, ArrivalSchedule):
+        if _is_schedule(workload):
             self.probe.observe_arrivals(
                 (a.node, a.message.mid, a.time)
                 for a in workload.sorted_by_time()
@@ -473,6 +482,10 @@ class SubstrateBase:
     #: The ``spec.model.params`` keys the substrate reads; :func:`run`
     #: rejects any other key (see :func:`check_model_params`).
     model_params: frozenset[str] = frozenset()
+    #: The modules a run imports: the engine and the built-in components
+    #: it assembles.  The fabric imports them before it forks its workers
+    #: (:func:`load_engines`), so no worker imports them per point.
+    engine_modules: tuple[str, ...] = ()
 
     def describe(self) -> str:
         """One-line description (the class docstring's first line)."""
@@ -544,6 +557,17 @@ def register_substrate(name: str):
     return _decorator
 
 
+def load_engines(names: Iterable[str]) -> None:
+    """Import the :attr:`~SubstrateBase.engine_modules` of the named substrates.
+
+    Declaring, validating and expanding specs imports no engine; a
+    process that forks workers to run specs calls this first.
+    """
+    for name in sorted(set(names)):
+        for module in getattr(SUBSTRATES.get(name), "engine_modules", ()):
+            importlib.import_module(module)
+
+
 def list_substrates() -> list[str]:
     """Registered substrate keys."""
     return SUBSTRATES.names()
@@ -608,7 +632,7 @@ def check_workload_capability(
     """
     if ctx.spec.workload is None or substrate.supports_arrivals:
         return
-    if isinstance(ctx.workload(), ArrivalSchedule):
+    if _is_schedule(ctx.workload()):
         raise ExperimentError(
             _arrival_rejection(substrate.name, ctx.spec.workload.kind)
         )
@@ -665,9 +689,11 @@ def _judge_mmb(
     given, so a fault-free run is judged once.  Open-arrival workloads
     get their steady-state gauges from the verdict's per-message times.
     """
+    from repro.runtime.validate import mmb_outcome
+
     verdict = fault_free
     if engine is not None or verdict is None:
-        timed = engine is not None and isinstance(workload, ArrivalSchedule)
+        timed = engine is not None and _is_schedule(workload)
         verdict = mmb_outcome(
             ctx.dual,
             _static_assignment(workload),
@@ -700,7 +726,7 @@ def _max_latency(verdict: MMBOutcome, workload) -> float:
     if not verdict.message_times:
         return verdict.completion_time
     arrivals = (
-        workload.arrival_times() if isinstance(workload, ArrivalSchedule) else {}
+        workload.arrival_times() if _is_schedule(workload) else {}
     )
     return max(
         done - arrivals.get(mid, 0.0)
@@ -711,6 +737,23 @@ def _max_latency(verdict: MMBOutcome, workload) -> float:
 # ----------------------------------------------------------------------
 # Built-in substrates
 # ----------------------------------------------------------------------
+#: What any built-in engine may import, whatever it runs: the topology
+#: builders, workloads, fault scenarios and engine, and the MMB verdict.
+_COMPONENT_MODULES = (
+    "repro.topology.generators",
+    "repro.topology.geometric",
+    "repro.topology.adversarial",
+    "repro.core.problem",
+    "repro.traffic.arrivals",
+    "repro.traffic.metrics",
+    "repro.faults.engine",
+    "repro.faults.scenarios",
+    "repro.runtime.validate",
+)
+#: The event-driven engines' runner, MAC layers and schedulers.
+_EVENT_MODULES = ("repro.runtime.runner", "repro.mac.enhanced", "repro.mac.schedulers")
+
+
 @register_substrate("standard")
 class StandardSubstrate(SubstrateBase):
     """Event-driven abstract MAC (standard/enhanced layers, MMB workloads)."""
@@ -718,8 +761,14 @@ class StandardSubstrate(SubstrateBase):
     supports_faults = True
     supports_arrivals = True
     scheduler_role = "explicit"
+    engine_modules = _COMPONENT_MODULES + _EVENT_MODULES + (
+        "repro.core.bmmb",
+        "repro.core.baselines",
+    )
 
     def prepare(self, ctx: ExecutionContext) -> Execution:
+        from repro.runtime.runner import run_standard
+
         spec = ctx.spec
         dual = ctx.dual
         factory = ctx.build_algorithm(self.name)
@@ -781,8 +830,14 @@ class ProtocolSubstrate(SubstrateBase):
     supports_faults = True
     supports_arrivals = False
     scheduler_role = "explicit"
+    engine_modules = _COMPONENT_MODULES + _EVENT_MODULES + (
+        "repro.core.leader",
+        "repro.core.consensus",
+    )
 
     def prepare(self, ctx: ExecutionContext) -> Execution:
+        from repro.runtime.runner import run_protocol
+
         spec = ctx.spec
         dual = ctx.dual
         entry = ctx.algorithm_entry(self.name)
@@ -854,8 +909,11 @@ class RoundsSubstrate(SubstrateBase):
     supports_faults = True
     supports_arrivals = False
     scheduler_role = "seeded"
+    engine_modules = _COMPONENT_MODULES + ("repro.core.fmmb", "repro.faults.rounds")
 
     def prepare(self, ctx: ExecutionContext) -> Execution:
+        from repro.core.fmmb import run_fmmb
+
         spec = ctx.spec
         dual = ctx.dual
         config = ctx.build_algorithm(self.name)
@@ -944,6 +1002,7 @@ class RadioSubstrate(SubstrateBase):
     #: MAC registry key the adapter is built from; the ``sinr`` subclass
     #: swaps the reception model by naming a different entry.
     mac_key = "radio"
+    engine_modules = _COMPONENT_MODULES + ("repro.radio.mac_adapter", "repro.core.bmmb")
     #: ``max_slots`` bounds the slot loop; the rest are the adapter's
     #: keywords.
     model_params = frozenset(
@@ -985,7 +1044,7 @@ class RadioSubstrate(SubstrateBase):
         workload = ctx.workload()
 
         def _run() -> Outcome:
-            if isinstance(workload, ArrivalSchedule):
+            if _is_schedule(workload):
                 for arrival in workload.sorted_by_time():
                     layer.inject_arrival(
                         arrival.node, arrival.message, time=arrival.time
@@ -1031,6 +1090,7 @@ class SINRSubstrate(RadioSubstrate):
     """Slotted SINR-reception radio (distance-based signal/interference)."""
 
     mac_key = "sinr"
+    engine_modules = RadioSubstrate.engine_modules + ("repro.radio.sinr",)
     #: The SINR model constants replace the collision radio's fading.
     model_params = (RadioSubstrate.model_params - {"p_unreliable_live"}) | {
         "alpha",

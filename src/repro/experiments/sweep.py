@@ -24,8 +24,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.stats import Summary, percentile, summarize
 from repro.errors import ExperimentError
-from repro.experiments.runner import ExperimentResult, RunOptions, run
-from repro.experiments.specs import ExperimentSpec, ModelSpec, _KindSpec
+from repro.experiments.runner import ExperimentResult, run
+from repro.experiments.specs import ExperimentSpec, ModelSpec, RunOptions, _KindSpec
 from repro.sim.rng import derive_seed
 
 #: Percentiles reported by default in sweep summaries.
@@ -283,7 +283,7 @@ def run_sweep(
             way — every run is seed-deterministic and summaries carry no
             live objects.
         options: Per-point capture options (see
-            :class:`~repro.experiments.runner.RunOptions`); ``None`` means
+            :class:`~repro.experiments.specs.RunOptions`); ``None`` means
             :meth:`RunOptions.summary`.  ``RunOptions.observed()`` carries
             each run's typed observation stream back in
             ``result.observations`` (``raw`` stays dropped) — for

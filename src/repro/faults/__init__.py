@@ -38,18 +38,25 @@ Quickstart::
     print(result.solved, result.metrics["nodes_crashed"])
 """
 
-from repro.faults.engine import (
-    PRIORITY_FAULT,
-    EffectiveDualView,
-    FaultEngine,
-)
-from repro.faults.events import Edge, FaultEvent, FaultKind, canonical_edge
-from repro.faults.plan import FaultPlan, validate_plan
-from repro.faults.rounds import FaultyRoundScheduler
+from repro._lazy import lazy_exports
 
-# Imported last, and after every name above is bound: scenario registration
-# pulls in repro.experiments.registries, which may re-enter this package.
-from repro.faults.scenarios import DEFAULT_HORIZON  # noqa: E402
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.faults.engine": (
+        "PRIORITY_FAULT",
+        "EffectiveDualView",
+        "FaultEngine",
+    ),
+    "repro.faults.events": (
+        "Edge",
+        "FaultEvent",
+        "FaultKind",
+        "canonical_edge",
+    ),
+    "repro.faults.plan": ("FaultPlan", "validate_plan"),
+    "repro.faults.rounds": ("FaultyRoundScheduler",),
+    "repro.faults.scenarios": ("DEFAULT_HORIZON",),
+}
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -64,3 +71,5 @@ __all__ = [
     "canonical_edge",
     "validate_plan",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -17,6 +17,7 @@ expressed in the same unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -29,6 +30,14 @@ Time = float
 #: Float arithmetic on sums of delays can wobble by a few ULPs; every bound
 #: check in the package uses this single shared tolerance.
 TIME_EPS: Time = 1e-9
+
+
+def log2n(n: int) -> float:
+    """``log₂ n`` clamped below at 1 (keeps small-n budgets positive).
+
+    FMMB's subroutine budgets and the Theorem 4.1 bound share it.
+    """
+    return max(1.0, math.log2(max(n, 2)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,11 +28,16 @@ This package implements:
   execution satisfies all five MAC-layer constraints.
 """
 
-from repro.mac.interfaces import Automaton, MACApi
-from repro.mac.messages import InstanceLog, MessageInstance
-from repro.mac.standard import StandardMACLayer
-from repro.mac.enhanced import EnhancedMACLayer
-from repro.mac.axioms import AxiomReport, check_axioms
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.mac.interfaces": ("Automaton", "MACApi"),
+    "repro.mac.messages": ("InstanceLog", "MessageInstance"),
+    "repro.mac.standard": ("StandardMACLayer",),
+    "repro.mac.enhanced": ("EnhancedMACLayer",),
+    "repro.mac.axioms": ("AxiomReport", "check_axioms"),
+}
 
 __all__ = [
     "Automaton",
@@ -44,3 +49,5 @@ __all__ = [
     "AxiomReport",
     "check_axioms",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

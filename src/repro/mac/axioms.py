@@ -39,8 +39,7 @@ from typing import Iterable
 
 from repro.errors import AxiomViolation
 from repro.ids import TIME_EPS, NodeId, Time
-from repro.mac.enhanced import DEFAULT_EPS_ABORT
-from repro.mac.messages import MessageInstance
+from repro.mac.messages import DEFAULT_EPS_ABORT, MessageInstance
 from repro.topology.dualgraph import DualGraph
 
 #: Nudge used to step just past a termination time when enumerating

@@ -21,12 +21,9 @@ from typing import Any
 
 from repro.ids import NodeId, Time
 from repro.mac.interfaces import Automaton
-from repro.mac.messages import MessageInstance
+from repro.mac.messages import DEFAULT_EPS_ABORT, MessageInstance
 from repro.mac.standard import StandardMACLayer, _NodeBinding
 from repro.sim.events import EventHandle
-
-#: Default bound on how long after an abort a straggler rcv may fire.
-DEFAULT_EPS_ABORT: Time = 1e-6
 
 
 class _EnhancedBinding(_NodeBinding):

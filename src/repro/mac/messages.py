@@ -19,6 +19,10 @@ from typing import Any, Iterator
 
 from repro.ids import InstanceId, NodeId, Time
 
+#: Default bound on how long after an abort a straggler rcv may fire (the
+#: enhanced layer's ``eps_abort``; the axiom checker's default too).
+DEFAULT_EPS_ABORT: Time = 1e-6
+
 
 @dataclass(slots=True)
 class MessageInstance:

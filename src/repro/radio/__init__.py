@@ -33,10 +33,15 @@ transmitters: the collision pass costs O(Σ transmitter degree) per slot,
 the SINR pass O(audible listeners × senders).
 """
 
-from repro.radio.decay import DecaySchedule
-from repro.radio.mac_adapter import EmpiricalBounds, RadioMACLayer
-from repro.radio.sinr import SINRRadioNetwork, sinr_mac_layer
-from repro.radio.slotted import SlottedRadioNetwork
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.radio.decay": ("DecaySchedule",),
+    "repro.radio.mac_adapter": ("EmpiricalBounds", "RadioMACLayer"),
+    "repro.radio.sinr": ("SINRRadioNetwork", "sinr_mac_layer"),
+    "repro.radio.slotted": ("SlottedRadioNetwork",),
+}
 
 __all__ = [
     "SlottedRadioNetwork",
@@ -46,3 +51,5 @@ __all__ = [
     "RadioMACLayer",
     "EmpiricalBounds",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -19,10 +19,23 @@ journals, the one trace file format, and
 instance log from its MAC-event subset.
 """
 
-from repro.runtime.observations import OBSERVATION_KINDS, Observation, Probe
-from repro.runtime.results import RunResult
-from repro.runtime.runner import run_standard
-from repro.runtime.validate import MMBOutcome, mmb_outcome, required_deliveries
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.runtime.observations": (
+        "OBSERVATION_KINDS",
+        "Observation",
+        "Probe",
+    ),
+    "repro.runtime.results": ("RunResult",),
+    "repro.runtime.runner": ("run_standard",),
+    "repro.runtime.validate": (
+        "MMBOutcome",
+        "mmb_outcome",
+        "required_deliveries",
+    ),
+}
 
 __all__ = [
     "MMBOutcome",
@@ -34,3 +47,5 @@ __all__ = [
     "Probe",
     "OBSERVATION_KINDS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

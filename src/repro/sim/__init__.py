@@ -12,8 +12,15 @@ algorithms run.  It provides:
   independent, reproducible stream.
 """
 
-from repro.sim.events import EventHandle, ScheduledEvent
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomSource
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.sim.events": ("EventHandle", "ScheduledEvent"),
+    "repro.sim.kernel": ("Simulator",),
+    "repro.sim.rng": ("RandomSource",),
+}
 
 __all__ = ["EventHandle", "ScheduledEvent", "Simulator", "RandomSource"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -24,22 +24,30 @@ provides:
 * :mod:`~repro.topology.serialization` — the JSON round trip.
 """
 
-from repro.topology.dualgraph import DualGraph
-from repro.topology.generators import (
-    grid_network,
-    line_network,
-    ring_network,
-    star_network,
-    tree_network,
-    with_arbitrary_unreliable,
-    with_r_restricted_unreliable,
-)
-from repro.topology.geometric import grey_zone_network, random_geometric_network
-from repro.topology.adversarial import (
-    choke_star_network,
-    combined_lower_bound_network,
-    parallel_lines_network,
-)
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.topology.dualgraph": ("DualGraph",),
+    "repro.topology.generators": (
+        "grid_network",
+        "line_network",
+        "ring_network",
+        "star_network",
+        "tree_network",
+        "with_arbitrary_unreliable",
+        "with_r_restricted_unreliable",
+    ),
+    "repro.topology.geometric": (
+        "grey_zone_network",
+        "random_geometric_network",
+    ),
+    "repro.topology.adversarial": (
+        "choke_star_network",
+        "combined_lower_bound_network",
+        "parallel_lines_network",
+    ),
+}
 
 __all__ = [
     "DualGraph",
@@ -56,3 +64,5 @@ __all__ = [
     "choke_star_network",
     "combined_lower_bound_network",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -156,7 +156,7 @@ class DualGraph:
     Raises:
         TopologyError: If an edge is not a pair of nodes in ``0..n-1``, is
             a self-loop, or positions are given for only part of the
-            vertex set.
+            vertex set or for anything outside it.
     """
 
     def __init__(
@@ -178,6 +178,12 @@ class DualGraph:
             if absent:
                 raise TopologyError(
                     f"embedding missing positions for {len(absent)} nodes"
+                )
+            stray = set(positions) - set(range(n))
+            if stray:
+                raise TopologyError(
+                    f"embedding has positions for non-nodes "
+                    f"{', '.join(sorted(map(repr, stray)))} (nodes are 0..{n - 1})"
                 )
         self.name = name
         self.positions: dict[NodeId, Position] | None = (

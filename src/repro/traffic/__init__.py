@@ -10,25 +10,31 @@ time; ``repro.traffic`` turns the same simulator into a *service*:
   percentiles, and in-flight gauges emitted as ordinary result metrics.
 - :mod:`repro.traffic.smoke` — the CI traffic-smoke check.
 
-Importing this package registers the arrival processes and the
-``open_arrivals`` workload; ``repro.experiments`` imports it at the end
-of its own init so specs, sweep workers, and the CLI all see them.
+Importing :mod:`repro.traffic.arrivals` registers the arrival processes
+and the ``open_arrivals`` workload; the workload registry imports it the
+first time it is read, so specs, sweep workers, and the CLI all see
+them.
 """
 
-from repro.traffic.arrivals import (
-    ARRIVAL_STREAM,
-    ARRIVALS,
-    OpenArrivalSchedule,
-    list_arrivals,
-    register_arrival,
-)
-from repro.traffic.metrics import (
-    LATENCY_PERCENTILES,
-    SERIES_WINDOWS,
-    steady_state_metrics,
-    window_series,
-)
-from repro.traffic.smoke import STEADY_GAUGES, traffic_smoke
+from repro._lazy import lazy_exports
+
+#: Each public name's defining module, imported when the name is first read.
+_SOURCES = {
+    "repro.traffic.arrivals": (
+        "ARRIVAL_STREAM",
+        "ARRIVALS",
+        "OpenArrivalSchedule",
+        "list_arrivals",
+        "register_arrival",
+    ),
+    "repro.traffic.metrics": (
+        "LATENCY_PERCENTILES",
+        "SERIES_WINDOWS",
+        "steady_state_metrics",
+        "window_series",
+    ),
+    "repro.traffic.smoke": ("STEADY_GAUGES", "traffic_smoke"),
+}
 
 __all__ = [
     "ARRIVAL_STREAM",
@@ -43,3 +49,5 @@ __all__ = [
     "traffic_smoke",
     "window_series",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _SOURCES, __all__)

@@ -175,6 +175,13 @@ def test_positions_must_cover_all_nodes():
         make_dual(3, [(0, 1), (1, 2)], [], positions={0: (0.0, 0.0)})
 
 
+@pytest.mark.parametrize("stray", [99, 3, -1])
+def test_positions_must_name_only_nodes(stray):
+    positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0), stray: (9.0, 9.0)}
+    with pytest.raises(TopologyError, match=rf"non-nodes {stray} \(nodes are 0\.\.2\)"):
+        make_dual(3, [(0, 1), (1, 2)], [], positions=positions)
+
+
 def test_euclidean_distance():
     positions = {0: (0.0, 0.0), 1: (3.0, 4.0)}
     dual = make_dual(2, [], [], positions=positions)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.bounds import FMMB_C
 from repro.core.fmmb.config import FMMBConfig, log2n
 from repro.core.fmmb.mis import _Announce, _Elect, build_mis
 from repro.errors import ExperimentError
@@ -17,6 +18,12 @@ def test_default_activation_is_theta_inverse_c_squared():
     assert cfg.activation() == pytest.approx(min(0.4, 1 / 2.56))
     wide = FMMBConfig(c=4.0)
     assert wide.activation() == pytest.approx(1 / 16.0)
+
+
+def test_bound_default_c_is_the_config_default():
+    # The fmmb_rounds bound reads FMMB's default c from the bounds module,
+    # so checks load no algorithm code; the two defaults must agree.
+    assert FMMBConfig().c == FMMB_C
 
 
 def test_explicit_activation_overrides_default():

@@ -1,7 +1,9 @@
-"""Import on first use: what importing the package and setting up a
-campaign load, the lazy package exports, that nothing — topology
-builds, substrates, fabric workers — imports networkx, and that workers
-still fork cleanly from a caller that has imported it itself.
+"""Import on first use: what importing the package, setting up a
+campaign and the CLI's read-only commands load, the lazy package
+exports, that fabric workers fork with their engines already loaded,
+that nothing — topology builds, substrates, fabric workers — imports
+networkx, and that workers still fork cleanly from a caller that has
+imported it itself.
 
 The footprint checks run in fresh interpreters, since this test process
 has long since imported everything.
@@ -22,7 +24,38 @@ import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-LAZY_PACKAGES = ("repro", "repro.campaigns", "repro.store")
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.campaigns",
+    "repro.core",
+    "repro.experiments",
+    "repro.faults",
+    "repro.mac",
+    "repro.radio",
+    "repro.runtime",
+    "repro.sim",
+    "repro.store",
+    "repro.topology",
+    "repro.traffic",
+)
+
+#: Engine modules: MAC layers, schedulers, algorithms, radio, faults, the
+#: event kernel and the runner that drives it.  Declaring, validating and
+#: expanding specs loads none of them.
+ENGINE_PREFIXES = (
+    "repro.core",
+    "repro.mac",
+    "repro.radio",
+    "repro.faults",
+    "repro.sim.kernel",
+    "repro.runtime.runner",
+)
+
+
+def engines(modules) -> list[str]:
+    """The engine modules among ``modules``."""
+    return [name for name in modules if name.startswith(ENGINE_PREFIXES)]
 
 
 def run_fresh(code: str, tmp_path) -> dict:
@@ -57,9 +90,14 @@ def test_import_and_campaign_setup_load_no_heavy_modules(tmp_path):
             "networkx", "numpy", "repro.campaigns", "http.client",
             "urllib.request",
         ])
-        from repro.campaigns import ResultStore, build_campaign, expand_points
+        from repro.campaigns import (
+            ResultStore, build_campaign, expand_points, list_campaigns,
+        )
 
-        points = expand_points(build_campaign("figure1", n_max=32))
+        points = {
+            name: len(expand_points(build_campaign(name)))
+            for name in list_campaigns()
+        }
         ResultStore("store")
         after_setup = present([
             "networkx", "numpy", "repro.store.http", "repro.store.server",
@@ -68,14 +106,60 @@ def test_import_and_campaign_setup_load_no_heavy_modules(tmp_path):
         print(json.dumps({
             "after_import": after_import,
             "after_setup": after_setup,
-            "points": len(points),
+            "modules": sorted(sys.modules),
+            "points": points,
         }))
         """,
         tmp_path,
     )
     assert loaded["after_import"] == []
     assert loaded["after_setup"] == []
-    assert loaded["points"] > 0
+    # Building, expanding and opening a store for every built-in campaign
+    # validates each point's spec and loads no engine.
+    assert engines(loaded["modules"]) == []
+    assert len(loaded["points"]) >= 13
+    assert all(count > 0 for count in loaded["points"].values())
+
+
+#: Runs the CLI with its arguments, then prints the exit status and the
+#: loaded modules as JSON.
+CLI_PROBE = """
+import json, sys
+from repro.cli import main
+try:
+    status = main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+print(json.dumps([status, sorted(sys.modules)]))
+"""
+
+
+def test_cli_commands_that_run_nothing_load_no_engine(tmp_path):
+    # `--help`, `campaign list` and `campaign verify`/`report` over a
+    # finished store run no spec, so they load no engine module.
+    def cli(*argv: str):
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_PROBE, *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    status, _ = cli("campaign", "run", "smoke", "--store", "store", "--workers", "1")
+    assert status == 0
+    for argv in (
+        ["--help"],
+        ["campaign", "list"],
+        ["campaign", "verify", "smoke", "--store", "store"],
+        ["campaign", "report", "smoke", "--store", "store", "--artifacts", "art"],
+    ):
+        status, modules = cli(*argv)
+        assert status in (0, None), argv
+        assert engines(modules) == [], argv
 
 
 def test_experiments_import_leaves_the_fabric_unloaded(tmp_path):
@@ -95,6 +179,98 @@ def test_experiments_import_leaves_the_fabric_unloaded(tmp_path):
         tmp_path,
     )
     assert loaded == []
+
+
+def test_fabric_workers_fork_with_their_engines_loaded(tmp_path):
+    # Set-up loads no engine, so the fabric loads the jobs' engines before
+    # it forks: no point a worker runs, its first included, imports a
+    # repro module.  The jobs cover every built-in substrate, a fault
+    # scenario and an open-arrival workload.
+    recorded = run_fresh(
+        """
+        import dataclasses, glob, json, os, sys
+
+        import repro.campaigns.supervision as supervision
+        from repro.experiments import FaultSpec, WorkloadSpec, smoke_spec
+
+        real = supervision._run_with_options
+
+        def recording(spec, options):
+            before = set(sys.modules)
+            result = real(spec, options)
+            imported = sorted(
+                name for name in set(sys.modules) - before
+                if name.startswith("repro")
+            )
+            with open(f"worker-{os.getpid()}.jsonl", "a") as fh:
+                fh.write(json.dumps([spec.name, imported]) + "\\n")
+            return result
+
+        supervision._run_with_options = recording
+        names = ("protocol", "radio", "rounds", "sinr", "standard")
+        specs = [smoke_spec(name) for name in names]
+        specs.append(dataclasses.replace(
+            smoke_spec("standard"), name="faulted",
+            fault=FaultSpec("crash_random", {"fraction": 0.2}),
+        ))
+        specs.append(dataclasses.replace(
+            smoke_spec("standard"), name="open",
+            workload=WorkloadSpec(
+                "open_arrivals", {"process": "poisson", "rate": 0.05, "count": 4}
+            ),
+        ))
+        jobs = [
+            supervision.FabricJob(i, spec.name, spec, record_facts=True)
+            for i, spec in enumerate(specs)
+        ]
+        before_fork = sorted(sys.modules)
+        outcome = supervision.run_supervised(
+            jobs, None, supervision.FabricConfig(workers=2)
+        )
+        points = []
+        for path in sorted(glob.glob("worker-*.jsonl")):
+            with open(path) as fh:
+                points += [json.loads(line) for line in fh]
+        print(json.dumps({
+            "before_fork": before_fork,
+            "failed": len(outcome.failed),
+            "points": points,
+        }))
+        """,
+        tmp_path,
+    )
+    # The jobs were built without loading an engine ...
+    assert engines(recorded["before_fork"]) == []
+    # ... and every point, in either worker, found its engine loaded.
+    assert recorded["failed"] == 0
+    assert len(recorded["points"]) == 7
+    assert {name: imported for name, imported in recorded["points"]} == {
+        name: [] for name, _ in recorded["points"]
+    }
+
+
+def test_registry_output_does_not_depend_on_a_built_spec(tmp_path):
+    # Fault scenarios and the open_arrivals workload register themselves
+    # in their own modules; their registries import them when first read.
+    code = """
+        import contextlib, io, json
+        from repro.cli import main
+        from repro.experiments import smoke_spec, run
+
+        PRELUDE
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["registry"])
+        print(json.dumps(out.getvalue()))
+        """
+    outputs = {
+        prelude: run_fresh(code.replace("PRELUDE", prelude), tmp_path)
+        for prelude in ("pass", "smoke_spec('standard')", "run(smoke_spec('rounds'))")
+    }
+    assert len(set(outputs.values())) == 1
+    table = outputs["pass"]
+    for name in ("open_arrivals", "crash_random", "churn_poisson", "sinr"):
+        assert name in table
 
 
 # ----------------------------------------------------------------------

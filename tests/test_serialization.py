@@ -84,3 +84,14 @@ def test_from_dict_names_the_bad_edge(field, edges, message):
     record[field] = edges
     with pytest.raises(TopologyError, match=re.escape(message)):
         from_dict(record)
+
+
+def test_from_dict_rejects_a_position_for_a_non_node():
+    # An untrusted record: an embedding naming node 99 of a 3-node line
+    # must not load (it would pass is_grey_zone and keep the stray point).
+    record = to_dict(line_network(3))
+    record["positions"] = {
+        str(node): [float(node), 0.0] for node in (0, 1, 2, 99)
+    }
+    with pytest.raises(TopologyError, match="non-nodes 99"):
+        from_dict(record)
